@@ -7,6 +7,7 @@ import json
 import sys
 
 from .harness import (
+    MODE_TAGS,
     ExperimentConfig,
     call_ratio_table,
     exceptional_region_scan,
@@ -14,7 +15,7 @@ from .harness import (
     sweep_amplitudes,
     write_rows,
 )
-from .likelihood import run_mlqae
+from .likelihood import grid_maximize
 from .planner import exceptional_values, make_plan
 from .rng import substream
 from .sampler import angle_from_amplitude, draw_record, good_prob
@@ -120,11 +121,11 @@ def _cmd_estimate(args: argparse.Namespace) -> None:
         jittered=args.jitter,
         spread_coeff=args.spread_coeff,
     )
+    record = draw_record(args.amplitude, plan.schedule, plan.n_shot, args.seed)
     if args.record:
-        record = draw_record(args.amplitude, plan.schedule, plan.n_shot, args.seed)
         with open(args.record, "w") as f:
             json.dump(record.to_dict(), f, indent=2)
-    estimate = run_mlqae(args.amplitude, plan, args.seed)
+    estimate = grid_maximize(record, plan.grid_size)
     print(json.dumps(estimate.to_dict(), indent=2))
 
 
@@ -187,7 +188,7 @@ def _cmd_call_ratio(args: argparse.Namespace) -> None:
 def _cmd_validate_oracle(args: argparse.Namespace) -> None:
     worst = 0.0
     cases = 0
-    tag = 4  # oracle validation mode tag
+    tag = MODE_TAGS["oracle_validation"]
     for n in range(1, args.qubits + 1):
         dim = 1 << n
         for trial in range(args.trials):

@@ -181,7 +181,12 @@ def _quantile_point(args: tuple) -> dict:
 def _worker_count() -> int:
     env = os.environ.get("AMPLEST_THREADS")
     if env is not None:
-        count = int(env)
+        try:
+            count = int(env)
+        except ValueError:
+            raise ValueError(
+                f"AMPLEST_THREADS must be an integer, got {env!r}"
+            ) from None
         if count < 1:
             raise ValueError("AMPLEST_THREADS must be at least 1")
         return count

@@ -1,4 +1,4 @@
-"""Log-likelihood evaluation and exhaustive grid maximization.
+"""Log-likelihood evaluation and exact grid maximization.
 
 The log-likelihood of a record is a sum over depths of binomial terms
 ``hits * ln(p) + (shots - hits) * ln(1 - p)`` with ``p`` the good-state
@@ -8,15 +8,23 @@ hits, or ``p = 1`` with misses) scores exactly ``-inf`` rather than some
 clamped finite value: the exact zeros are what create the exceptional
 amplitudes, and clamping would mask them.
 
-Maximization evaluates the log-likelihood at ``grid_size`` evenly spaced
-angles spanning [0, pi/2] inclusive and takes the first maximizer (ties
-break toward smaller angle). The hot path precomputes per-depth rows of
-``ln p`` and ``ln(1 - p)`` over the grid once per (depths, grid_size), so
-one run reduces to two vector-matrix products. Grid columns where some
-``p`` is exactly 0 or 1 are patched afterwards with the exact-semantics
-scalar rule; everywhere else the tables contain no infinities and the
-product is plain float arithmetic. Evaluation order is fixed, so results
-do not depend on batching or thread count.
+Maximization returns the first maximizer (ties break toward smaller angle)
+over ``grid_size`` evenly spaced angles spanning [0, pi/2] inclusive, as an
+exhaustive scan would, without evaluating every angle. The grid is cut
+into blocks of about sqrt(grid_size) columns, and only the block edges are
+kept per (depths, grid_size), so memory and per-run work are O(D sqrt(G))
+for D depths and G grid points, at any ``epsilon``. Each depth's term
+``h ln sin^2(c theta) + m ln cos^2(c theta)`` (``c = 2d + 1``) is concave
+between its singular points ``k pi / (2c)`` and peaks where
+``sin^2(c theta) = h / n``. On a block it is therefore bounded by its peak
+value ``h ln(h/n) + m ln(m/n)`` if the block holds a peak, and by the larger
+of its two edge values if not; a block's bound is the sum over depths.
+Exactly evaluated are the block with the highest bound and every block
+whose bound reaches the best value found less a float margin.
+
+A column's value is ``sum_j (h_j ln p_j + m_j ln(1 - p_j))`` with the depths
+added in ascending order and ``p_j = sin(c_j * theta) ** 2`` in float64, so
+results do not depend on batching, block layout or thread count.
 """
 
 from __future__ import annotations
@@ -38,7 +46,14 @@ __all__ = [
     "run_mlqae",
 ]
 
-_NEG_CLAMP = -1e300  # stands in for -inf inside the matmul tables
+# A block is evaluated when its bound reaches the best value found less
+# _MARGIN * (|best| + total shots): column values carry rounding errors of
+# a few ulps of each term and of each count, far below this.
+_MARGIN = 1e-9
+# Peak positions (in units of pi) are tested against blocks widened by
+# this much, far above the rounding of ``c * theta / pi``; a false
+# positive only loosens a bound.
+_PEAK_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -89,44 +104,77 @@ def grid_angles(grid_size: int) -> np.ndarray:
     return np.arange(grid_size) * (math.pi / 2.0 / (grid_size - 1))
 
 
-class GridTables:
-    """Per-(depths, grid) log-probability tables shared across runs."""
+def _log_probs(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``ln p`` and ``ln(1 - p)`` for ``p = sin^2(angles)``; ``-inf`` stays."""
+    p = np.sin(angles) ** 2
+    with np.errstate(divide="ignore"):
+        return np.log(p), np.log1p(-p)
+
+
+def _depth_terms(
+    hits: np.ndarray, misses: np.ndarray, log_p: np.ndarray, log_q: np.ndarray
+) -> np.ndarray:
+    """Per-depth terms ``hits * ln p + misses * ln q``; zero counts drop out.
+
+    A dropped term is exactly 0, so ``0 * -inf`` never becomes NaN.
+    """
+    good = np.multiply(hits, log_p, out=np.zeros(log_p.shape), where=hits > 0)
+    bad = np.multiply(misses, log_q, out=np.zeros(log_q.shape), where=misses > 0)
+    return good + bad
+
+
+class _BlockGrid:
+    """Block edges of the angle grid for one tuple of depths.
+
+    Block ``k`` evaluates columns ``edges[k]`` to ``edges[k + 1] - 1`` (the
+    last block also the final column); its bound covers both edges.
+    """
 
     def __init__(self, depths: tuple[int, ...], grid_size: int):
-        self.depths = depths
-        self.grid_size = grid_size
-        thetas = grid_angles(grid_size)
-        factors = np.array([2 * d + 1 for d in depths], dtype=np.float64)
-        probs = np.sin(np.outer(factors, thetas)) ** 2
+        if grid_size < 2:
+            raise ValueError("grid_size must be at least 2")
+        width = math.isqrt(grid_size - 1) + 1
+        self.edges = np.append(np.arange(0, grid_size - 1, width), grid_size - 1)
+        self.step = math.pi / 2.0 / (grid_size - 1)
+        # Rows are depths: factors is the (D, 1) column of c = 2d + 1.
+        self.factors = np.array([2.0 * d + 1.0 for d in depths]).reshape(-1, 1)
+        angles = self.factors * (self.edges * self.step)
+        self.log_p, self.log_q = _log_probs(angles)
+        x = angles / math.pi
+        self.x_lo = x[:, :-1] - _PEAK_SLACK
+        self.x_hi = x[:, 1:] + _PEAK_SLACK
+
+    def bounds(self, hits: np.ndarray, misses: np.ndarray) -> np.ndarray:
+        """Upper bound of the record's log-likelihood on each block."""
+        shots = hits + misses
         with np.errstate(divide="ignore"):
-            self.log_p = np.maximum(np.log(probs), _NEG_CLAMP)
-            self.log_q = np.maximum(np.log1p(-probs), _NEG_CLAMP)
-        exact_cols = np.flatnonzero(((probs == 0.0) | (probs == 1.0)).any(axis=0))
-        self.exact_cols = exact_cols
-        self.probs_at_exact = probs[:, exact_cols].copy()
-        del probs
+            log_rates = np.log(hits / shots), np.log(misses / shots)
+        peak = _depth_terms(hits, misses, *log_rates)
+        # sin^2(pi x) = hits / shots at x = k + alpha and at x = k - alpha.
+        alpha = np.arctan2(np.sqrt(hits), np.sqrt(misses)) / math.pi
+        has_peak = np.floor(self.x_hi - alpha) >= self.x_lo - alpha
+        has_peak |= np.floor(self.x_hi + alpha) >= self.x_lo + alpha
+        edge = _depth_terms(hits, misses, self.log_p, self.log_q)
+        edge_max = np.maximum(edge[:, :-1], edge[:, 1:])
+        return np.where(has_peak, peak, edge_max).sum(axis=0)
 
-    def argmax(self, shots: np.ndarray, hits: np.ndarray) -> tuple[int, float]:
-        """First-maximum grid index and value of the record's log-likelihood."""
-        misses = (shots - hits).astype(np.float64)
-        hits = hits.astype(np.float64)
-        values = hits @ self.log_p + misses @ self.log_q
-        if self.exact_cols.size:
-            values[self.exact_cols] = self._exact_values(hits, misses)
-        idx = int(np.argmax(values))
-        return idx, float(values[idx])
-
-    def _exact_values(self, hits: np.ndarray, misses: np.ndarray) -> np.ndarray:
-        p = self.probs_at_exact
-        with np.errstate(divide="ignore", invalid="ignore"):
-            good = np.where(hits[:, None] > 0, hits[:, None] * np.log(p), 0.0)
-            bad = np.where(misses[:, None] > 0, misses[:, None] * np.log1p(-p), 0.0)
-        return (good + bad).sum(axis=0)
+    def evaluate(
+        self, block: int, hits: np.ndarray, misses: np.ndarray
+    ) -> tuple[int, float]:
+        """First-maximum grid index and exact value within one block."""
+        stop = self.edges[block + 1] + (block + 2 == len(self.edges))
+        cols = np.arange(self.edges[block], stop)
+        log_p, log_q = _log_probs(self.factors * (cols * self.step))
+        # Reducing axis 0 of a C-ordered array adds the rows one by one,
+        # so the depths are summed in ascending order.
+        values = np.add.reduce(_depth_terms(hits, misses, log_p, log_q), axis=0)
+        i = int(np.argmax(values))
+        return int(cols[i]), float(values[i])
 
 
 @lru_cache(maxsize=3)
-def _cached_tables(depths: tuple[int, ...], grid_size: int) -> GridTables:
-    return GridTables(depths, grid_size)
+def _block_grid(depths: tuple[int, ...], grid_size: int) -> _BlockGrid:
+    return _BlockGrid(depths, grid_size)
 
 
 def _estimate_from_index(idx: int, value: float, grid_size: int) -> Estimate:
@@ -141,11 +189,20 @@ def _estimate_from_index(idx: int, value: float, grid_size: int) -> Estimate:
 
 
 def grid_maximize(record: MeasurementRecord, grid_size: int) -> Estimate:
-    """Exhaustively maximize the record's log-likelihood over the angle grid."""
-    tables = _cached_tables(tuple(e.depth for e in record.entries), grid_size)
-    shots = np.array([e.shots for e in record.entries], dtype=np.int64)
-    hits = np.array([e.hits for e in record.entries], dtype=np.int64)
-    idx, value = tables.argmax(shots, hits)
+    """First maximizer of the record's log-likelihood over the angle grid."""
+    grid = _block_grid(tuple(e.depth for e in record.entries), grid_size)
+    hits = np.array([e.hits for e in record.entries], dtype=np.float64)
+    misses = np.array([e.shots - e.hits for e in record.entries], dtype=np.float64)
+    hits, misses = hits.reshape(-1, 1), misses.reshape(-1, 1)
+    bounds = grid.bounds(hits, misses)
+    first = int(np.argmax(bounds))
+    idx, value = grid.evaluate(first, hits, misses)
+    margin = _MARGIN * (abs(value) + sum(e.shots for e in record.entries))
+    for block in np.flatnonzero(bounds >= value - margin).tolist():
+        if block != first:
+            i, v = grid.evaluate(block, hits, misses)
+            if v > value or (v == value and i < idx):
+                idx, value = i, v
     return _estimate_from_index(idx, value, grid_size)
 
 

@@ -110,16 +110,11 @@ def required_shots(
 def total_calls(schedule: Schedule, n_shot: int) -> int:
     """Oracle calls for ``n_shot`` planned shots, ceiling each depth's share.
 
-    A depth carrying shot fraction F runs ceil(F * n_shot) shots of cost
-    (2d + 1) calls each; with all fractions 1 this is n_shot * call_weight.
-    Exact rational arithmetic, so the ceiling is never off by one.
+    A depth carrying shot fraction F runs ceil(F * n_shot) shots (see
+    :meth:`Schedule.shots`) of cost (2d + 1) calls each; with all fractions 1
+    this is n_shot * call_weight.
     """
-    if n_shot < 1:
-        raise ValueError("n_shot must be at least 1")
-    calls = 0
-    for d, f in zip(schedule.depths, schedule.fractions):
-        calls += math.ceil(f * n_shot) * (2 * d + 1)
-    return calls
+    return sum(s * (2 * d + 1) for d, s in zip(schedule.depths, schedule.shots(n_shot)))
 
 
 def speedup_factor(schedule: Schedule) -> float:

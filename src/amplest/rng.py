@@ -53,3 +53,24 @@ def derive_key(*parts: int) -> int:
 def substream(*parts: int) -> np.random.Generator:
     """Counter-based generator for the substream identified by ``parts``."""
     return np.random.Generator(np.random.Philox(key=derive_key(*parts)))
+
+
+class Substreams:
+    """Successive substreams drawn from one Philox generator, re-keyed in place.
+
+    ``open(*parts)`` puts the generator in the state ``substream(*parts)``
+    starts in (key ``derive_key(*parts)``, counter 0, empty buffer) and
+    returns it, which saves building a bit generator and a ``Generator`` per
+    substream. A generator returned earlier is the same object and moves on.
+    """
+
+    def __init__(self) -> None:
+        self._bit_generator = np.random.Philox(key=0)
+        self._generator = np.random.Generator(self._bit_generator)
+        self._fresh = self._bit_generator.state
+
+    def open(self, *parts: int) -> np.random.Generator:
+        # A 64-bit key fills the low word of Philox's two-word key.
+        self._fresh["state"]["key"][0] = derive_key(*parts)
+        self._bit_generator.state = self._fresh
+        return self._generator

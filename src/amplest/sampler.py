@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .rng import substream
+from .rng import Substreams
 from .schedules import Schedule
 
 __all__ = [
@@ -126,13 +126,11 @@ def draw_record(
     draws from the substream (seed, j), so entries are independent of the
     order in which they are produced.
     """
-    if n_shot < 1:
-        raise ValueError("n_shot must be at least 1")
+    shots = schedule.shots(n_shot)
     theta = angle_from_amplitude(a)
+    streams = Substreams()
     entries = []
-    for j, (depth, fraction) in enumerate(zip(schedule.depths, schedule.fractions)):
-        shots = math.ceil(fraction * n_shot)
-        p = good_prob(theta, depth)
-        hits = binomial_draw(shots, p, substream(seed, j))
-        entries.append(RecordEntry(depth, shots, hits))
+    for j, (depth, n) in enumerate(zip(schedule.depths, shots)):
+        hits = binomial_draw(n, good_prob(theta, depth), streams.open(seed, j))
+        entries.append(RecordEntry(depth, n, hits))
     return MeasurementRecord(tuple(entries), a_true=a, seed=seed)

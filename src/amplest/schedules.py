@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
 from ._util import ceil_guarded
@@ -110,6 +111,25 @@ class Schedule:
     @property
     def max_depth(self) -> int:
         return self.depths[-1]
+
+    def shots(self, n_shot: int) -> tuple[int, ...]:
+        """Shots each depth performs for ``n_shot`` planned shots.
+
+        A depth with shot fraction F performs ceil(F * n_shot) shots, in exact
+        rational arithmetic so the ceiling is never off by one. Computed once
+        per ``n_shot`` and kept on the schedule.
+        """
+        if n_shot < 1:
+            raise ValueError("n_shot must be at least 1")
+        shots = self._shots.get(n_shot)
+        if shots is None:
+            shots = tuple(math.ceil(f * n_shot) for f in self.fractions)
+            self._shots[n_shot] = shots
+        return shots
+
+    @cached_property
+    def _shots(self) -> dict[int, tuple[int, ...]]:
+        return {}
 
     def to_dict(self) -> dict:
         """JSON-ready ``{"kind", "depths", "fractions", ...}`` mapping."""

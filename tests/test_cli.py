@@ -4,7 +4,11 @@ import sys
 
 import pytest
 
+import amplest.cli as cli
 from amplest.cli import main
+from amplest.likelihood import grid_maximize
+from amplest.planner import make_plan
+from amplest.sampler import MeasurementRecord
 
 
 class TestPlanCommand:
@@ -57,6 +61,26 @@ class TestEstimateCommand:
         assert record["a_true"] == 0.3
         assert record["seed"] == 4
         assert all(e["hits"] <= e["shots"] for e in record["entries"])
+
+    def test_estimate_maximizes_the_dumped_record_drawn_once(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        draws = []
+
+        def counting_draw(*args):
+            draws.append(args)
+            return draw_record(*args)
+
+        draw_record = cli.draw_record
+        monkeypatch.setattr(cli, "draw_record", counting_draw)
+        record_path = tmp_path / "record.json"
+        args = ["--amplitude", "0.7", "--max-depth", "4", "--epsilon", "1e-2"]
+        main(["estimate", *args, "--seed", "8", "--record", str(record_path)])
+        printed = json.loads(capsys.readouterr().out)
+        assert len(draws) == 1
+        record = MeasurementRecord.from_dict(json.loads(record_path.read_text()))
+        estimate = grid_maximize(record, make_plan(1e-2, 0.01, 4).grid_size)
+        assert printed == estimate.to_dict()
 
 
 class TestExceptionalCommand:

@@ -201,6 +201,12 @@ class TestCsvOutput:
 
 
 class TestConfigValidation:
+    def test_non_integer_thread_count_is_named(self, monkeypatch):
+        monkeypatch.setenv("AMPLEST_THREADS", "two")
+        config = ExperimentConfig(mode="sweep", max_depth=2, amplitudes=5)
+        with pytest.raises(ValueError, match="AMPLEST_THREADS must be an integer"):
+            sweep_amplitudes(config)
+
     def test_mode_checked(self):
         with pytest.raises(ValueError):
             ExperimentConfig(mode="nope")

@@ -1,6 +1,10 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from amplest.likelihood import (
     depth_log_likelihood,
@@ -9,9 +13,9 @@ from amplest.likelihood import (
     record_log_likelihood,
     run_mlqae,
 )
-from amplest.planner import make_plan
+from amplest.planner import exceptional_values, make_plan
 from amplest.rng import substream
-from amplest.sampler import MeasurementRecord, RecordEntry
+from amplest.sampler import MeasurementRecord, RecordEntry, draw_record
 
 
 def record(*entries) -> MeasurementRecord:
@@ -123,6 +127,118 @@ class TestGridMaximize:
     def test_grid_too_small(self):
         with pytest.raises(ValueError):
             grid_maximize(record((0, 5, 3)), 1)
+
+
+def exhaustive_values(rec: MeasurementRecord, thetas: np.ndarray) -> np.ndarray:
+    """Every column's log-likelihood, one depth at a time in ascending order.
+
+    The same float operations per column as the grid maximizer, so its
+    first maximum must be the maximizer's answer exactly.
+    """
+    total = np.zeros(len(thetas))
+    for e in rec.entries:
+        p = np.sin((2.0 * e.depth + 1.0) * thetas) ** 2
+        good, bad = np.zeros(len(thetas)), np.zeros(len(thetas))
+        with np.errstate(divide="ignore"):
+            if e.hits > 0:
+                good = e.hits * np.log(p)
+            if e.shots - e.hits > 0:
+                bad = (e.shots - e.hits) * np.log1p(-p)
+        total = total + (good + bad)
+    return total
+
+
+def assert_exhaustive_first_maximum(rec: MeasurementRecord, grid_size: int) -> None:
+    values = exhaustive_values(rec, grid_angles(grid_size))
+    best = int(np.argmax(values))
+    est = grid_maximize(rec, grid_size)
+    assert est.grid_index == best
+    assert est.log_likelihood == values[best]
+
+
+SLOW = [HealthCheck.too_slow]
+
+
+@st.composite
+def records(draw, max_depth: int = 60, max_shots: int = 2000) -> MeasurementRecord:
+    """Records with all-hit, all-miss, empty and exceptional-amplitude cases."""
+    count = draw(st.integers(0, 6))
+    depths = sorted(
+        draw(st.lists(st.integers(0, max_depth), min_size=count, max_size=count))
+    )
+    kind = draw(st.sampled_from(["any", "all_hit", "all_miss", "exceptional"]))
+    if kind == "exceptional" and depths:
+        k = draw(st.integers(0, 2 * depths[-1] + 1))
+        a = exceptional_values(depths[-1])[k]
+    else:
+        a = draw(st.floats(0.0, 1.0))
+    theta = math.asin(math.sqrt(a))
+    entries = []
+    for d in depths:
+        shots = draw(st.integers(1, max_shots))
+        if kind == "all_hit":
+            hits = shots
+        elif kind == "all_miss":
+            hits = 0
+        elif kind == "exceptional":
+            hits = round(shots * math.sin((2 * d + 1) * theta) ** 2)
+        else:
+            hits = draw(st.integers(0, shots))
+        entries.append(RecordEntry(d, shots, hits))
+    return MeasurementRecord(tuple(entries))
+
+
+class TestBlockMaximizer:
+    """The block-bound maximizer against an exhaustive scan of every column."""
+
+    @given(rec=records(), grid_size=st.integers(2, 700))
+    @settings(max_examples=400, deadline=None, suppress_health_check=SLOW)
+    def test_matches_exhaustive_scan(self, rec, grid_size):
+        assert_exhaustive_first_maximum(rec, grid_size)
+
+    @given(rec=records(max_depth=8, max_shots=10**7), grid_size=st.integers(2, 3000))
+    @settings(max_examples=200, deadline=None, suppress_health_check=SLOW)
+    def test_matches_exhaustive_scan_at_large_counts(self, rec, grid_size):
+        assert_exhaustive_first_maximum(rec, grid_size)
+
+    @pytest.mark.parametrize("grid_size", [2, 3, 4, 5, 10, 17, 66, 101, 700])
+    def test_degenerate_records(self, grid_size):
+        for rec in (
+            MeasurementRecord(()),
+            record((0, 9, 4)),
+            record((0, 10, 0), (3, 10, 10)),
+            record((1, 3, 3), (1, 3, 0)),
+            record((0, 1, 1), (2, 1, 0), (5, 1, 1)),
+        ):
+            assert_exhaustive_first_maximum(rec, grid_size)
+
+    @pytest.mark.parametrize("jittered", [False, True])
+    def test_depth50_records(self, jittered):
+        # the exceptional-region setting: d=50, epsilon=1e-4, grid x30
+        plan = make_plan(1e-4, 0.01, 50, jittered=jittered, grid_multiplier=30.0)
+        center = exceptional_values(50)[50]
+        for i, a in enumerate((center, center + 1e-4, 0.3, 1.0)):
+            rec = draw_record(a, plan.schedule, plan.n_shot, 11 + i)
+            assert_exhaustive_first_maximum(rec, plan.grid_size)
+
+    def test_hundred_million_point_grid_stays_small(self):
+        plan = make_plan(1e-4, 0.01, 50)
+        rec = draw_record(0.3, plan.schedule, plan.n_shot, 5)
+        grid_size = 10**8
+        tracemalloc.start()
+        try:
+            est = grid_maximize(rec, grid_size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert abs(est.a_hat - 0.3) < 1e-3
+        # the maximum holds on a window of 20001 columns around it
+        step = math.pi / 2 / (grid_size - 1)
+        lo = est.grid_index - 10_000
+        window = exhaustive_values(rec, np.arange(lo, lo + 20_001) * step)
+        assert int(np.argmax(window)) == 10_000
+        assert est.log_likelihood == window[10_000]
 
 
 class TestRunMlqae:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amplest.planner import exceptional_values
-from amplest.rng import derive_key, mix64, substream
+from amplest.rng import Substreams, derive_key, mix64, substream
 from amplest.sampler import (
     MeasurementRecord,
     RecordEntry,
@@ -119,6 +119,20 @@ class TestDrawRecord:
         rate = rec.entries[0].hits / rec.entries[0].shots
         assert abs(rate - 0.3) <= 5 * math.sqrt(0.21 / 10**5)
 
+    @pytest.mark.parametrize("jittered", [False, True])
+    def test_matches_one_fresh_substream_per_depth(self, jittered):
+        sched = exponential_schedule_to_depth(16)
+        if jittered:
+            sched = jitter(sched, 2.0)
+        for seed, a in enumerate([0.0, 0.02, 0.3, 0.5, 0.77, 1.0]):
+            rec = draw_record(a, sched, 1267, seed)
+            theta = angle_from_amplitude(a)
+            expected = [
+                binomial_draw(n, good_prob(theta, d), substream(seed, j))
+                for j, (d, n) in enumerate(zip(sched.depths, sched.shots(1267)))
+            ]
+            assert [e.hits for e in rec.entries] == expected
+
     def test_bit_identical_across_runs_and_threads(self):
         sched = exponential_schedule_to_depth(50)
         baseline = draw_record(0.42, sched, 500, 123)
@@ -141,6 +155,16 @@ class TestDrawRecord:
             if abs(rec.entries[0].hits / 10**6 - p) <= bound:
                 inside += 1
         assert inside >= 990
+
+
+class TestSubstreams:
+    def test_reopened_stream_matches_a_fresh_one(self):
+        streams = Substreams()
+        for parts in [(3, 0), (3, 1), (2**64 - 1, 7), (3, 0)]:
+            rng = streams.open(*parts)
+            got = [rng.binomial(1000, 0.3), *rng.integers(0, 2**63, size=5)]
+            fresh = substream(*parts)
+            assert got == [fresh.binomial(1000, 0.3), *fresh.integers(0, 2**63, size=5)]
 
 
 class TestMeasurementRecord:

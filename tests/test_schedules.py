@@ -261,6 +261,23 @@ class TestScheduleValidation:
         assert round_half_away(1.49) == 1
 
 
+class TestShots:
+    def test_ceiling_of_each_fraction(self):
+        j = jitter(exponential_schedule_to_depth(50), 2.0)
+        for n_shot in (1, 6, 7, 12508):
+            assert j.shots(n_shot) == tuple(math.ceil(f * n_shot) for f in j.fractions)
+        assert j.shots(1267)[:6] == (1267,) * 5 + (181,)  # ceil(1267/7)
+
+    def test_computed_once_per_shot_count(self):
+        j = jitter(exponential_schedule_to_depth(16), 2.0)
+        assert j.shots(1267) is j.shots(1267)
+        assert j == jitter(exponential_schedule_to_depth(16), 2.0)
+
+    def test_invalid(self):
+        with pytest.raises(ValueError):
+            exponential_schedule(3).shots(0)
+
+
 class TestSerialization:
     def test_round_trip(self):
         j = jitter(exponential_schedule_to_depth(50), 2.0)
