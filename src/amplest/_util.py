@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from numbers import Integral
 
 
 def ceil_guarded(x: float) -> int:
@@ -12,3 +13,14 @@ def ceil_guarded(x: float) -> int:
     an exact integer; a bare ceil would then overshoot by one.
     """
     return math.ceil(x - abs(x) * 1e-12)
+
+
+def json_int(value: object, field: str) -> int:
+    """``value`` as an int; bools, floats and strings raise, naming ``field``.
+
+    ``int()`` would silently truncate 10.9 to 10 and turn True or "2" into
+    numbers, so a mistyped JSON file would load as a different record.
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return int(value)

@@ -16,7 +16,7 @@ from .harness import (
     write_rows,
 )
 from .likelihood import grid_maximize
-from .planner import exceptional_values, make_plan
+from .planner import Plan, exceptional_values, make_plan
 from .rng import substream
 from .sampler import angle_from_amplitude, draw_record, good_prob
 from .statevector import StatePrep, grover_power_prob
@@ -101,26 +101,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_plan(args: argparse.Namespace) -> None:
-    plan = make_plan(
+def _plan(args: argparse.Namespace, **extra: float) -> Plan:
+    return make_plan(
         args.epsilon,
         args.delta,
         args.max_depth,
         jittered=args.jitter,
         spread_coeff=args.spread_coeff,
-        grid_multiplier=args.grid_multiplier,
+        **extra,
     )
+
+
+def _cmd_plan(args: argparse.Namespace) -> None:
+    plan = _plan(args, grid_multiplier=args.grid_multiplier)
     print(json.dumps(plan.to_dict(), indent=2))
 
 
 def _cmd_estimate(args: argparse.Namespace) -> None:
-    plan = make_plan(
-        args.epsilon,
-        args.delta,
-        args.max_depth,
-        jittered=args.jitter,
-        spread_coeff=args.spread_coeff,
-    )
+    plan = _plan(args)
     record = draw_record(args.amplitude, plan.schedule, plan.n_shot, args.seed)
     if args.record:
         with open(args.record, "w") as f:
@@ -129,55 +127,35 @@ def _cmd_estimate(args: argparse.Namespace) -> None:
     print(json.dumps(estimate.to_dict(), indent=2))
 
 
-def _cmd_sweep(args: argparse.Namespace) -> None:
-    config = ExperimentConfig(
-        mode="sweep",
-        epsilon=args.epsilon,
-        delta=args.delta,
-        max_depth=args.max_depth,
-        jittered=args.jitter,
-        spread_coeff=args.spread_coeff,
-        amplitudes=args.points,
-        base_seed=args.seed,
-    )
-    write_rows(args.out, "sweep", sweep_amplitudes(config))
+# flags named unlike their ExperimentConfig field (scripts read the dests)
+_FIELD_NAMES = {
+    "jitter": "jittered",
+    "points": "amplitudes",
+    "runs": "runs_per_point",
+    "shots": "n_shot_list",
+    "k": "k_index",
+    "seed": "base_seed",
+}
 
 
-def _cmd_precision_curve(args: argparse.Namespace) -> None:
-    config = ExperimentConfig(
-        mode="precision_curve",
-        epsilon=args.epsilon,
-        delta=args.delta,
-        max_depth=args.max_depth,
-        jittered=args.jitter,
-        spread_coeff=args.spread_coeff,
-        amplitudes=args.amplitudes,
-        runs_per_point=args.runs,
-        n_shot_list=args.shots,
-        base_seed=args.seed,
-    )
-    write_rows(args.out, "precision_curve", precision_curve(config))
+def _cmd_experiment(args: argparse.Namespace) -> None:
+    mode = args.command.replace("-", "_")
+    fields = {
+        _FIELD_NAMES.get(flag, flag): value
+        for flag, value in vars(args).items()
+        if flag not in ("command", "out")
+    }
+    # looked up on each call, so replacing a module attribute is seen here
+    experiment = {
+        "sweep": sweep_amplitudes,
+        "precision_curve": precision_curve,
+        "exceptional_region": exceptional_region_scan,
+    }[mode]
+    write_rows(args.out, mode, experiment(ExperimentConfig(mode=mode, **fields)))
 
 
 def _cmd_exceptional(args: argparse.Namespace) -> None:
     print(json.dumps(exceptional_values(args.max_depth)))
-
-
-def _cmd_exceptional_region(args: argparse.Namespace) -> None:
-    config = ExperimentConfig(
-        mode="exceptional_region",
-        epsilon=args.epsilon,
-        delta=args.delta,
-        max_depth=args.max_depth,
-        jittered=args.jitter,
-        spread_coeff=args.spread_coeff,
-        grid_multiplier=args.grid_multiplier,
-        amplitudes=args.points,
-        runs_per_point=args.runs,
-        k_index=args.k,
-        base_seed=args.seed,
-    )
-    write_rows(args.out, "exceptional_region", exceptional_region_scan(config))
 
 
 def _cmd_call_ratio(args: argparse.Namespace) -> None:
@@ -209,10 +187,10 @@ def _cmd_validate_oracle(args: argparse.Namespace) -> None:
 _COMMANDS = {
     "plan": _cmd_plan,
     "estimate": _cmd_estimate,
-    "sweep": _cmd_sweep,
-    "precision-curve": _cmd_precision_curve,
+    "sweep": _cmd_experiment,
+    "precision-curve": _cmd_experiment,
     "exceptional": _cmd_exceptional,
-    "exceptional-region": _cmd_exceptional_region,
+    "exceptional-region": _cmd_experiment,
     "call-ratio": _cmd_call_ratio,
     "validate-oracle": _cmd_validate_oracle,
 }

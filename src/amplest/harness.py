@@ -1,28 +1,20 @@
 """Desk-scale numerical experiments over the estimator, with CSV output.
 
-Four experiment modes are provided. Each returns a list of row dicts and is
-a pure function of its configuration, so re-running writes byte-identical
-files at any worker count:
+The three sampling experiments run through one kernel, :func:`_run`. At each
+point, an (amplitude, shots) pair, it draws ``runs`` measurement records and
+takes each record's grid maximum-likelihood estimate. A ``sweep`` point is
+one run at the planned shots on an even grid over [0, 1], and its row keeps
+the estimate and seed. A ``precision_curve`` row keeps the (1 - delta)-
+quantile of absolute error; its points run over (amplitude, shots) pairs in
+row-major order. An ``exceptional_region`` scan is a precision curve at the
+planned shots over the +-4 epsilon band around one exceptional value; the
+band must lie inside [0, 1]. Rows are projected onto ``CSV_COLUMNS[mode]``.
 
-* ``sweep``: one estimation run per amplitude over an even grid of
-  amplitudes; columns ``a_true, a_hat, abs_err, seed``.
-* ``precision_curve``: the (1 - delta)-quantile of absolute error versus
-  the number of shots; columns ``a_true, n_shot, eps_achieved, runs``.
-* ``exceptional_region``: the same quantile scanned across a narrow band
-  of amplitudes around one exceptional value; columns
-  ``a_true, eps_achieved, runs``.
-* ``call_ratio``: deterministic jittered/unjittered call-count ratios;
-  columns ``d, n_calls, n_calls_jittered, ratio``.
-
-Reproducibility contract: the seed of run ``r`` at point ``i`` is
-``derive_key(base_seed, mode_tag, i, r)`` (see :mod:`amplest.rng`), with
-mode tags sweep=1, precision_curve=2, exceptional_region=3, oracle
-validation=4. For ``precision_curve`` the point index runs over
-(amplitude, shots) pairs in row-major order. Floats are written with 17
-significant digits. The environment variable ``AMPLEST_THREADS`` caps the
-worker count (default: all cores); points are distributed across workers
-but every row is computed from its pre-derived seed and written in point
-order, so the output does not depend on scheduling.
+Reproducibility contract (see README): run ``r`` of point ``i`` uses the
+seed ``derive_key(base_seed, MODE_TAGS[mode], i, r)`` and floats are written
+with 17 significant digits. ``AMPLEST_THREADS`` caps the worker count
+(default: all cores); every run derives its own seed and rows come back in
+point order, so files are byte-identical at any worker count.
 """
 
 from __future__ import annotations
@@ -30,22 +22,22 @@ from __future__ import annotations
 import csv
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from functools import partial
+from typing import Iterable, Sequence
 
 from ._util import ceil_guarded
 from .likelihood import grid_maximize
 from .planner import (
     erfinv,
     exceptional_values,
+    grid_points,
     make_plan,
     required_shots,
-    total_calls,
 )
 from .rng import derive_key
 from .sampler import draw_record
-from .schedules import Schedule, exponential_schedule_to_depth, info_weight, jitter
+from .schedules import Schedule, info_weight
 
 __all__ = [
     "MODE_TAGS",
@@ -90,7 +82,6 @@ class ExperimentConfig:
     n_shot_list: Sequence[int] | None = None
     k_index: int | None = None
     base_seed: int = 0
-    out_path: str | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in ("sweep", "precision_curve", "exceptional_region"):
@@ -121,61 +112,54 @@ def achieved_precision(errors: Sequence[float], delta: float) -> float:
     return sorted(errors)[rank - 1]
 
 
-def _plan_schedule(config: ExperimentConfig) -> Schedule:
-    plan = make_plan(
-        config.epsilon,
-        config.delta,
-        config.max_depth,
-        jittered=config.jittered,
-        spread_coeff=config.spread_coeff,
-    )
-    return plan.schedule
-
-
-def _amplitude_grid(config: ExperimentConfig) -> list[float]:
-    if isinstance(config.amplitudes, int):
-        count = config.amplitudes
-        if count < 2:
-            raise ValueError("an amplitude count must be at least 2")
-        return [i / (count - 1) for i in range(count)]
-    return [float(a) for a in config.amplitudes]
-
-
 def _precision_from_shots(n_shot: int, delta: float, schedule: Schedule) -> float:
     """Precision the planner would pair with ``n_shot`` (worst-case amplitude)."""
     return erfinv(1.0 - delta) / (info_weight(schedule) * math.sqrt(2.0 * n_shot))
 
 
-# Worker payloads are module-level functions over plain tuples so they can
-# cross a process boundary.
+def _amplitudes(config: ExperimentConfig) -> list[float]:
+    """The configured amplitudes; a count spans [0, 1] or the exceptional band."""
+    if not isinstance(config.amplitudes, int):
+        return [float(a) for a in config.amplitudes]
+    count = config.amplitudes
+    if count < 2:
+        raise ValueError("an amplitude count must be at least 2")
+    if config.mode != "exceptional_region":
+        return [i / (count - 1) for i in range(count)]
+    centers = exceptional_values(config.max_depth)
+    if config.k_index is None or not 0 <= config.k_index < len(centers):
+        raise ValueError(f"exceptional_region needs k_index in [0, {len(centers) - 1}]")
+    center = centers[config.k_index]
+    half_width = 4.0 * config.epsilon
+    band = [
+        center - half_width + i * (2 * half_width) / (count - 1) for i in range(count)
+    ]
+    if band[0] < 0.0 or band[-1] > 1.0:
+        raise ValueError(
+            f"k_index {config.k_index}: band [{band[0]!r}, {band[-1]!r}] leaves [0, 1]"
+        )
+    return band
 
 
-def _one_estimate(
-    a: float, schedule: Schedule, n_shot: int, grid_size: int, seed: int
-) -> float:
-    record = draw_record(a, schedule, n_shot, seed)
-    return grid_maximize(record, grid_size).a_hat
+@dataclass(frozen=True)
+class _Job:
+    """What every point of one experiment shares; sent to each worker chunk."""
+
+    schedule: Schedule
+    grid_size: int
+    runs: int
+    base_seed: int
+    tag: int
 
 
-def _sweep_point(args: tuple) -> dict:
-    a, seed, schedule, n_shot, grid_size = args
-    a_hat = _one_estimate(a, schedule, n_shot, grid_size, seed)
-    return {"a_true": a, "a_hat": a_hat, "abs_err": abs(a_hat - a), "seed": seed}
-
-
-def _quantile_point(args: tuple) -> dict:
-    a, n_shot, schedule, grid_size, runs, delta, base_seed, tag, point_idx = args
-    errors = []
-    for r in range(runs):
-        seed = derive_key(base_seed, tag, point_idx, r)
-        a_hat = _one_estimate(a, schedule, n_shot, grid_size, seed)
-        errors.append(abs(a_hat - a))
-    return {
-        "a_true": a,
-        "n_shot": n_shot,
-        "eps_achieved": achieved_precision(errors, delta),
-        "runs": runs,
-    }
+def _estimates(job: _Job, i: int, a: float, n_shot: int) -> list[tuple[int, float]]:
+    """``(seed, a_hat)`` of each run at point ``i``: amplitude a, n_shot shots."""
+    out = []
+    for r in range(job.runs):
+        seed = derive_key(job.base_seed, job.tag, i, r)
+        record = draw_record(a, job.schedule, n_shot, seed)
+        out.append((seed, grid_maximize(record, job.grid_size).a_hat))
+    return out
 
 
 def _worker_count() -> int:
@@ -193,26 +177,69 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _map_points(fn: Callable[[tuple], dict], tasks: list[tuple]) -> list[dict]:
+def _map_points(
+    mode: str, job: _Job, points: list[tuple[float, int]]
+) -> list[list[tuple[int, float]]]:
+    """:func:`_estimates` at each ``(a, n_shot)`` point, serially or in a pool."""
+    estimate = partial(_estimates, job)
+    columns = (range(len(points)), *zip(*points))
     workers = _worker_count()
-    if workers == 1 or len(tasks) < 4:
-        return [fn(t) for t in tasks]
-    chunk = max(1, len(tasks) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks, chunksize=chunk))
+    if workers == 1 or len(points) < 4:
+        return list(map(estimate, *columns))
+    # imported here: the pool module is a measurable share of CLI start-up
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+    chunk = max(1, len(points) // (workers * 4))
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(estimate, *columns, chunksize=chunk))
+    except BrokenProcessPool as exc:
+        raise RuntimeError(
+            f"{mode}: a worker process died while running {len(points)} points "
+            f"on {workers} workers; AMPLEST_THREADS=1 runs the job serially"
+        ) from exc
+
+
+def _run(config: ExperimentConfig, mode: str) -> list[dict]:
+    """Run experiment ``mode`` (see the module docstring); config.mode must match."""
+    if config.mode != mode:
+        raise ValueError(f"config.mode is {config.mode!r}, expected {mode!r}")
+    if mode == "precision_curve" and not config.n_shot_list:
+        raise ValueError("precision_curve needs a non-empty n_shot_list")
+    plan = make_plan(
+        config.epsilon,
+        config.delta,
+        config.max_depth,
+        jittered=config.jittered,
+        spread_coeff=config.spread_coeff,
+        grid_multiplier=config.grid_multiplier,
+    )
+    grid_size = plan.grid_size
+    if mode == "precision_curve":
+        shot_list = [int(n) for n in config.n_shot_list]
+        eps_min = _precision_from_shots(max(shot_list), config.delta, plan.schedule)
+        grid_size = grid_points(config.grid_multiplier, eps_min)
+    else:
+        shot_list = [required_shots(config.epsilon, config.delta, plan.schedule)]
+    points = [(a, n) for a in _amplitudes(config) for n in shot_list]
+    runs = 1 if mode == "sweep" else config.runs_per_point
+    job = _Job(plan.schedule, grid_size, runs, config.base_seed, MODE_TAGS[mode])
+    rows = []
+    for (a, n_shot), estimates in zip(points, _map_points(mode, job, points)):
+        row = {"a_true": a, "n_shot": n_shot, "runs": runs}
+        if mode == "sweep":
+            row["seed"], row["a_hat"] = estimates[0]
+            row["abs_err"] = abs(row["a_hat"] - a)
+        else:
+            errors = [abs(a_hat - a) for _, a_hat in estimates]
+            row["eps_achieved"] = achieved_precision(errors, config.delta)
+        rows.append({c: row[c] for c in CSV_COLUMNS[mode]})
+    return rows
 
 
 def sweep_amplitudes(config: ExperimentConfig) -> list[dict]:
     """One estimation run per amplitude on an even grid over [0, 1]."""
-    schedule = _plan_schedule(config)
-    n_shot = required_shots(config.epsilon, config.delta, schedule)
-    grid_size = max(2, ceil_guarded(config.grid_multiplier / config.epsilon))
-    tag = MODE_TAGS["sweep"]
-    tasks = [
-        (a, derive_key(config.base_seed, tag, i, 0), schedule, n_shot, grid_size)
-        for i, a in enumerate(_amplitude_grid(config))
-    ]
-    return _map_points(_sweep_point, tasks)
+    return _run(config, "sweep")
 
 
 def precision_curve(config: ExperimentConfig) -> list[dict]:
@@ -222,75 +249,12 @@ def precision_curve(config: ExperimentConfig) -> list[dict]:
     eps_min`` entries, with ``eps_min`` the precision the planner pairs
     with the largest shot count in the list.
     """
-    if not config.n_shot_list:
-        raise ValueError("precision_curve needs a non-empty n_shot_list")
-    schedule = _plan_schedule(config)
-    eps_min = _precision_from_shots(max(config.n_shot_list), config.delta, schedule)
-    grid_size = max(2, ceil_guarded(config.grid_multiplier / eps_min))
-    tag = MODE_TAGS["precision_curve"]
-    tasks = []
-    point_idx = 0
-    for a in _amplitude_grid(config):
-        for n_shot in config.n_shot_list:
-            tasks.append(
-                (
-                    a,
-                    int(n_shot),
-                    schedule,
-                    grid_size,
-                    config.runs_per_point,
-                    config.delta,
-                    config.base_seed,
-                    tag,
-                    point_idx,
-                )
-            )
-            point_idx += 1
-    return _map_points(_quantile_point, tasks)
+    return _run(config, "precision_curve")
 
 
 def exceptional_region_scan(config: ExperimentConfig) -> list[dict]:
-    """Error quantile across a +-4 epsilon band around one exceptional value."""
-    if isinstance(config.amplitudes, int):
-        if config.k_index is None:
-            raise ValueError("exceptional_region needs k_index to place the band")
-        centers = exceptional_values(config.max_depth)
-        if not 0 <= config.k_index < len(centers):
-            raise ValueError(f"k_index outside [0, {len(centers) - 1}]")
-        center = centers[config.k_index]
-        count = config.amplitudes
-        if count < 2:
-            raise ValueError("exceptional_region needs at least 2 scan points")
-        half_width = 4.0 * config.epsilon
-        amplitudes = [
-            min(1.0, max(0.0, center - half_width + i * (2 * half_width) / (count - 1)))
-            for i in range(count)
-        ]
-    else:
-        amplitudes = [float(a) for a in config.amplitudes]
-    schedule = _plan_schedule(config)
-    n_shot = required_shots(config.epsilon, config.delta, schedule)
-    grid_size = max(2, ceil_guarded(config.grid_multiplier / config.epsilon))
-    tag = MODE_TAGS["exceptional_region"]
-    tasks = [
-        (
-            a,
-            n_shot,
-            schedule,
-            grid_size,
-            config.runs_per_point,
-            config.delta,
-            config.base_seed,
-            tag,
-            i,
-        )
-        for i, a in enumerate(amplitudes)
-    ]
-    rows = _map_points(_quantile_point, tasks)
-    return [
-        {"a_true": r["a_true"], "eps_achieved": r["eps_achieved"], "runs": r["runs"]}
-        for r in rows
-    ]
+    """Error quantile over the +-4 epsilon band (in [0, 1]) of an exceptional value."""
+    return _run(config, "exceptional_region")
 
 
 def call_ratio_table(
@@ -301,12 +265,8 @@ def call_ratio_table(
         raise ValueError("d_list must be non-empty")
     rows = []
     for d in d_list:
-        plain = exponential_schedule_to_depth(d)
-        spread = jitter(plain, c)
-        n_plain = required_shots(eps, delta, plain)
-        n_spread = required_shots(eps, delta, spread)
-        calls_plain = total_calls(plain, n_plain)
-        calls_spread = total_calls(spread, n_spread)
+        calls_plain = make_plan(eps, delta, d).n_calls
+        calls_spread = make_plan(eps, delta, d, jittered=True, spread_coeff=c).n_calls
         rows.append(
             {
                 "d": d,

@@ -36,6 +36,7 @@ __all__ = [
     "average_error",
     "exceptional_values",
     "single_shot_fisher_info",
+    "grid_points",
     "make_plan",
 ]
 
@@ -157,6 +158,11 @@ def single_shot_fisher_info(a: float, depth: int) -> float:
     return (2 * depth + 1) ** 2 / (a * (1.0 - a))
 
 
+def grid_points(multiplier: float, epsilon: float) -> int:
+    """Angle-grid size for precision ``epsilon``: ceil(multiplier / epsilon), >= 2."""
+    return max(2, ceil_guarded(multiplier / epsilon))
+
+
 @dataclass(frozen=True)
 class Plan:
     """A fully resolved resource plan for one estimation run."""
@@ -216,7 +222,7 @@ def make_plan(
         schedule=schedule,
         n_shot=n_shot,
         n_calls=total_calls(schedule, n_shot),
-        grid_size=max(2, ceil_guarded(grid_multiplier / epsilon)),
+        grid_size=grid_points(grid_multiplier, epsilon),
         grid_multiplier=grid_multiplier,
     )
 

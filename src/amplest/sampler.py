@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._util import json_int
 from .rng import Substreams
 from .schedules import Schedule
 
@@ -70,13 +71,14 @@ class MeasurementRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MeasurementRecord":
+        seed = data.get("seed")
         return cls(
             entries=tuple(
-                RecordEntry(int(e["depth"]), int(e["shots"]), int(e["hits"]))
+                RecordEntry(*(json_int(e[k], k) for k in RecordEntry._fields))
                 for e in data["entries"]
             ),
             a_true=data.get("a_true"),
-            seed=data.get("seed"),
+            seed=None if seed is None else json_int(seed, "seed"),
         )
 
 

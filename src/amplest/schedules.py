@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
-from ._util import ceil_guarded
+from ._util import ceil_guarded, json_int
 
 __all__ = [
     "Schedule",
@@ -149,8 +149,11 @@ class Schedule:
     @classmethod
     def from_dict(cls, data: dict) -> "Schedule":
         return cls(
-            depths=tuple(int(d) for d in data["depths"]),
-            fractions=tuple(Fraction(n, d) for n, d in data["fractions"]),
+            depths=tuple(json_int(d, "depths") for d in data["depths"]),
+            fractions=tuple(
+                Fraction(json_int(n, "fractions"), json_int(d, "fractions"))
+                for n, d in data["fractions"]
+            ),
             kind=data["kind"],
             nu=data.get("nu"),
             spread_coeff=data.get("spread_coeff"),

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import amplest.harness as harness
 from amplest.harness import (
     CSV_COLUMNS,
     MODE_TAGS,
@@ -14,8 +18,15 @@ from amplest.harness import (
     sweep_amplitudes,
     write_rows,
 )
-from amplest.planner import erfinv, exceptional_values
+from amplest.planner import (
+    erfinv,
+    exceptional_values,
+    grid_points,
+    required_shots,
+    total_calls,
+)
 from amplest.rng import substream
+from amplest.schedules import exponential_schedule_to_depth, jitter
 
 
 class TestAchievedPrecision:
@@ -121,6 +132,21 @@ class TestExceptionalRegion:
         assert offsets[-1] == pytest.approx(4e-3, rel=1e-9)
         assert set(rows[0]) == set(CSV_COLUMNS["exceptional_region"])
 
+    @pytest.mark.parametrize("max_depth, k_index", [(4, 0), (4, 9), (16, 1)])
+    def test_band_leaving_unit_interval_is_refused(self, max_depth, k_index):
+        # k=0 centres the band on 0, k=2d+1 on 1, and k=1 of d=16 on
+        # 0.0023 < 4 epsilon; a clamped band would write duplicate a_true rows
+        config = ExperimentConfig(
+            mode="exceptional_region",
+            epsilon=1e-3,
+            max_depth=max_depth,
+            amplitudes=5,
+            k_index=k_index,
+        )
+        band = r"band \[.*\] leaves \[0, 1\]"
+        with pytest.raises(ValueError, match=f"k_index {k_index}: {band}"):
+            exceptional_region_scan(config)
+
     def test_depth50_structure(self):
         # the band around one exceptional value of a depth-50 schedule:
         # plain schedules fail inside +-epsilon of the centre, jittered
@@ -158,6 +184,25 @@ class TestExceptionalRegion:
 
 
 class TestCallRatio:
+    def test_matches_the_schedules_it_compares(self):
+        for d in (1, 2, 3, 7, 16, 50, 64, 100):
+            for eps in (1e-2, 1e-3, 1e-5):
+                for c in (0.5, 2.0, 3.0):
+                    plain = exponential_schedule_to_depth(d)
+                    spread = jitter(plain, c)
+                    n_plain = total_calls(plain, required_shots(eps, 0.01, plain))
+                    n_spread = total_calls(spread, required_shots(eps, 0.01, spread))
+                    (row,) = call_ratio_table([d], eps, 0.01, c)
+                    assert (row["n_calls"], row["n_calls_jittered"]) == (
+                        n_plain,
+                        n_spread,
+                    )
+                    assert row["ratio"] == n_spread / n_plain
+
+    def test_depth_zero_is_refused(self):
+        with pytest.raises(ValueError):
+            call_ratio_table([0], 1e-3, 0.01, 2.0)
+
     def test_depth16_ratio(self):
         rows = call_ratio_table([16], 1e-3, 0.01, 2.0)
         assert rows[0]["n_calls"] == 75548
@@ -200,7 +245,63 @@ class TestCsvOutput:
         assert first.read_bytes() == second.read_bytes()
 
 
+def _die(*args):
+    os._exit(3)
+
+
+class TestWorkerPool:
+    def test_broken_pool_names_the_job(self, monkeypatch):
+        monkeypatch.setenv("AMPLEST_THREADS", "2")
+        monkeypatch.setattr(harness, "_estimates", _die)
+        config = ExperimentConfig(mode="sweep", max_depth=2, amplitudes=8)
+        with pytest.raises(RuntimeError) as info:
+            sweep_amplitudes(config)
+        message = str(info.value)
+        assert "sweep" in message and "8 points" in message
+        assert "2 workers" in message and "AMPLEST_THREADS=1" in message
+        assert type(info.value.__cause__).__name__ == "BrokenProcessPool"
+
+    def test_cli_import_leaves_the_pool_module_out(self):
+        code = (
+            "import sys, amplest.cli; "
+            "print('concurrent.futures.process' in sys.modules)"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            check=True,
+            capture_output=True,
+            text=True,
+            env=env,
+        ).stdout
+        assert out.strip() == "False"
+
+
+class TestGridPoints:
+    def test_values(self):
+        assert grid_points(3.0, 1e-3) == 3000
+        assert grid_points(30.0, 1e-4) == 300_000
+        assert grid_points(3.0, 0.49) == 7
+        assert grid_points(0.1, 0.4) == 2
+
+
 class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "run, mode",
+        [
+            (sweep_amplitudes, "precision_curve"),
+            (precision_curve, "exceptional_region"),
+            (exceptional_region_scan, "sweep"),
+        ],
+    )
+    def test_experiment_refuses_another_mode(self, run, mode):
+        config = ExperimentConfig(
+            mode=mode, amplitudes=[0.5], n_shot_list=[8], k_index=1
+        )
+        with pytest.raises(ValueError, match=f"config.mode is '{mode}'"):
+            run(config)
+
+
     def test_non_integer_thread_count_is_named(self, monkeypatch):
         monkeypatch.setenv("AMPLEST_THREADS", "two")
         config = ExperimentConfig(mode="sweep", max_depth=2, amplitudes=5)

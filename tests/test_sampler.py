@@ -187,6 +187,27 @@ class TestMeasurementRecord:
         rec = MeasurementRecord((RecordEntry(0, 5, 2),))
         assert set(rec.to_dict()) == {"entries"}
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("depth", "2"),
+            ("depth", 2.0),
+            ("shots", 10.9),
+            ("shots", True),
+            ("hits", True),
+            ("hits", "1"),
+        ],
+    )
+    def test_mistyped_entry_field_is_named(self, field, value):
+        entry = {"depth": 2, "shots": 10, "hits": 1, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            MeasurementRecord.from_dict({"entries": [entry]})
+
+    def test_mistyped_seed_is_named(self):
+        entries = [{"depth": 0, "shots": 5, "hits": 2}]
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            MeasurementRecord.from_dict({"entries": entries, "seed": 9.0})
+
 
 class TestSeedDerivation:
     def test_mix64_is_stable(self):

@@ -291,3 +291,19 @@ class TestSerialization:
     def test_absent_fields_omitted(self):
         data = exponential_schedule(4).to_dict()
         assert set(data) == {"kind", "depths", "fractions"}
+
+    @pytest.mark.parametrize(
+        "field, index, value",
+        [
+            ("depths", 1, "1"),
+            ("depths", 2, 2.0),
+            ("depths", 3, True),
+            ("fractions", 0, [1.0, 1]),
+            ("fractions", 0, [1, "1"]),
+        ],
+    )
+    def test_mistyped_field_is_named(self, field, index, value):
+        data = exponential_schedule(4).to_dict()
+        data[field][index] = value
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            Schedule.from_dict(data)
