@@ -9,6 +9,9 @@ quantile of absolute error; its points run over (amplitude, shots) pairs in
 row-major order. An ``exceptional_region`` scan is a precision curve at the
 planned shots over the +-4 epsilon band around one exceptional value; the
 band must lie inside [0, 1]. Rows are projected onto ``CSV_COLUMNS[mode]``.
+A config field the mode does not use is refused, not ignored: a sweep's
+``runs_per_point`` other than 1, and ``n_shot_list`` or ``k_index`` outside
+the precision curve or the region scan.
 
 Reproducibility contract (see README): run ``r`` of point ``i`` uses the
 seed ``derive_key(base_seed, MODE_TAGS[mode], i, r)`` and floats are written
@@ -204,6 +207,13 @@ def _run(config: ExperimentConfig, mode: str) -> list[dict]:
     """Run experiment ``mode`` (see the module docstring); config.mode must match."""
     if config.mode != mode:
         raise ValueError(f"config.mode is {config.mode!r}, expected {mode!r}")
+    for field, ignored in (
+        ("runs_per_point", mode == "sweep" and config.runs_per_point != 1),
+        ("n_shot_list", mode != "precision_curve" and config.n_shot_list is not None),
+        ("k_index", mode != "exceptional_region" and config.k_index is not None),
+    ):
+        if ignored:
+            raise ValueError(f"{mode} does not use {field}; leave it unset")
     if mode == "precision_curve" and not config.n_shot_list:
         raise ValueError("precision_curve needs a non-empty n_shot_list")
     plan = make_plan(
@@ -222,7 +232,7 @@ def _run(config: ExperimentConfig, mode: str) -> list[dict]:
     else:
         shot_list = [required_shots(config.epsilon, config.delta, plan.schedule)]
     points = [(a, n) for a in _amplitudes(config) for n in shot_list]
-    runs = 1 if mode == "sweep" else config.runs_per_point
+    runs = config.runs_per_point
     job = _Job(plan.schedule, grid_size, runs, config.base_seed, MODE_TAGS[mode])
     rows = []
     for (a, n_shot), estimates in zip(points, _map_points(mode, job, points)):

@@ -13,14 +13,15 @@ over ``grid_size`` evenly spaced angles spanning [0, pi/2] inclusive, as an
 exhaustive scan would, without evaluating every angle. The grid is cut
 into blocks of about sqrt(grid_size) columns, and only the block edges are
 kept per (depths, grid_size), so memory and per-run work are O(D sqrt(G))
-for D depths and G grid points, at any ``epsilon``. Each depth's term
-``h ln sin^2(c theta) + m ln cos^2(c theta)`` (``c = 2d + 1``) is concave
-between its singular points ``k pi / (2c)`` and peaks where
-``sin^2(c theta) = h / n``. On a block it is therefore bounded by its peak
-value ``h ln(h/n) + m ln(m/n)`` if the block holds a peak, and by the larger
-of its two edge values if not; a block's bound is the sum over depths.
-Exactly evaluated are the block with the highest bound and every block
-whose bound reaches the best value found less a float margin.
+for D depths and G grid points, at any ``epsilon``. Each depth's term is
+``f(p) = h ln p + m ln(1 - p)`` at ``p = sin^2(c theta)`` (``c = 2d + 1``),
+and ``f`` is concave in ``p`` with its maximum at ``p = h / n``. Over a
+block, ``p`` takes every value in a range ``[p_lo, p_hi]`` cached per
+(depth, block): the two edge values, widened to 0 or 1 where the block holds
+an integer or half-integer ``c theta / pi``. The term is therefore bounded
+on the block by ``f(clip(h / n, p_lo, p_hi))``, and a block's bound is the
+sum over depths. Exactly evaluated are the block with the highest bound and
+every block whose bound reaches the best value found less a float margin.
 
 A column's value is ``sum_j (h_j ln p_j + m_j ln(1 - p_j))`` with the depths
 added in ascending order and ``p_j = sin(c_j * theta) ** 2`` in float64, so
@@ -50,10 +51,10 @@ __all__ = [
 # _MARGIN * (|best| + total shots): column values carry rounding errors of
 # a few ulps of each term and of each count, far below this.
 _MARGIN = 1e-9
-# Peak positions (in units of pi) are tested against blocks widened by
-# this much, far above the rounding of ``c * theta / pi``; a false
-# positive only loosens a bound.
-_PEAK_SLACK = 1e-9
+# Integer and half-integer ``c * theta / pi`` are tested against blocks
+# widened by this much, far above its rounding; a false positive only
+# loosens a bound.
+_EXTREMUM_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -127,7 +128,8 @@ class _BlockGrid:
     """Block edges of the angle grid for one tuple of depths.
 
     Block ``k`` evaluates columns ``edges[k]`` to ``edges[k + 1] - 1`` (the
-    last block also the final column); its bound covers both edges.
+    last block also the final column); its bound covers both edges, over
+    which depth ``j`` sees ``sin^2(c_j theta)`` span ``[p_lo, p_hi][j, k]``.
     """
 
     def __init__(self, depths: tuple[int, ...], grid_size: int):
@@ -139,24 +141,22 @@ class _BlockGrid:
         # Rows are depths: factors is the (D, 1) column of c = 2d + 1.
         self.factors = np.array([2.0 * d + 1.0 for d in depths]).reshape(-1, 1)
         angles = self.factors * (self.edges * self.step)
-        self.log_p, self.log_q = _log_probs(angles)
+        p = np.sin(angles) ** 2
+        left, right = p[:, :-1], p[:, 1:]
+        # sin^2(pi x) is 0 at integer x and 1 at half-integer x.
         x = angles / math.pi
-        self.x_lo = x[:, :-1] - _PEAK_SLACK
-        self.x_hi = x[:, 1:] + _PEAK_SLACK
+        x_lo, x_hi = x[:, :-1] - _EXTREMUM_SLACK, x[:, 1:] + _EXTREMUM_SLACK
+        self.p_lo = np.where(np.floor(x_hi) >= x_lo, 0.0, np.minimum(left, right))
+        self.p_hi = np.where(
+            np.floor(x_hi - 0.5) >= x_lo - 0.5, 1.0, np.maximum(left, right)
+        )
 
     def bounds(self, hits: np.ndarray, misses: np.ndarray) -> np.ndarray:
         """Upper bound of the record's log-likelihood on each block."""
-        shots = hits + misses
+        p = np.clip(hits / (hits + misses), self.p_lo, self.p_hi)
         with np.errstate(divide="ignore"):
-            log_rates = np.log(hits / shots), np.log(misses / shots)
-        peak = _depth_terms(hits, misses, *log_rates)
-        # sin^2(pi x) = hits / shots at x = k + alpha and at x = k - alpha.
-        alpha = np.arctan2(np.sqrt(hits), np.sqrt(misses)) / math.pi
-        has_peak = np.floor(self.x_hi - alpha) >= self.x_lo - alpha
-        has_peak |= np.floor(self.x_hi + alpha) >= self.x_lo + alpha
-        edge = _depth_terms(hits, misses, self.log_p, self.log_q)
-        edge_max = np.maximum(edge[:, :-1], edge[:, 1:])
-        return np.where(has_peak, peak, edge_max).sum(axis=0)
+            terms = _depth_terms(hits, misses, np.log(p), np.log1p(-p))
+        return terms.sum(axis=0)
 
     def evaluate(
         self, block: int, hits: np.ndarray, misses: np.ndarray

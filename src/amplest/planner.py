@@ -160,6 +160,10 @@ def single_shot_fisher_info(a: float, depth: int) -> float:
 
 def grid_points(multiplier: float, epsilon: float) -> int:
     """Angle-grid size for precision ``epsilon``: ceil(multiplier / epsilon), >= 2."""
+    if not 0.0 < multiplier < math.inf:
+        raise ValueError(
+            f"grid_multiplier must be finite and positive, got {multiplier}"
+        )
     return max(2, ceil_guarded(multiplier / epsilon))
 
 

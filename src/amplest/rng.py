@@ -24,9 +24,22 @@ The key seeds a Philox 4x64 bit generator. Per-depth substreams of a
 measurement record use ``derive_key(seed, depth_index)``; harness run
 seeds use ``derive_key(base_seed, mode_tag, point_index, run_index)``
 with the mode tags defined in :mod:`amplest.harness`.
+
+Opening substreams cheaply
+--------------------------
+Building a Philox and a ``Generator`` costs several times as much as
+re-keying one, so each thread keeps one :class:`Substreams`, built on its
+first call to :func:`thread_substreams` (never at import), and re-keys its
+generator in place for every substream; a re-keyed generator is in the
+state a fresh ``substream`` would start in. :func:`record_keys` returns a
+record's depth keys ``derive_key(seed, j)`` with the fold of ``seed``
+computed once per record and ``mix64(j)`` once per thread, so each depth
+costs one ``mix64``. Neither changes a key or a draw.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -61,16 +74,50 @@ class Substreams:
     ``open(*parts)`` puts the generator in the state ``substream(*parts)``
     starts in (key ``derive_key(*parts)``, counter 0, empty buffer) and
     returns it, which saves building a bit generator and a ``Generator`` per
-    substream. A generator returned earlier is the same object and moves on.
+    substream; ``open_key(key)`` does the same for a key already derived. A
+    generator returned earlier is the same object and moves on. One instance
+    serves one thread at a time; it also caches that thread's ``mix64(j)``
+    for :func:`record_keys`.
     """
 
     def __init__(self) -> None:
         self._bit_generator = np.random.Philox(key=0)
         self._generator = np.random.Generator(self._bit_generator)
-        self._fresh = self._bit_generator.state
+        state = self._bit_generator.state
+        # The state setter reads item by item, and list items read faster
+        # than numpy array items.
+        self._fresh = {
+            **state,
+            "state": {k: v.tolist() for k, v in state["state"].items()},
+            "buffer": state["buffer"].tolist(),
+        }
+        self._index_mixes: list[int] = []  # mix64(j) for j = 0, 1, ...
 
     def open(self, *parts: int) -> np.random.Generator:
+        return self.open_key(derive_key(*parts))
+
+    def open_key(self, key: int) -> np.random.Generator:
         # A 64-bit key fills the low word of Philox's two-word key.
-        self._fresh["state"]["key"][0] = derive_key(*parts)
+        self._fresh["state"]["key"][0] = key
         self._bit_generator.state = self._fresh
         return self._generator
+
+
+_thread = threading.local()
+
+
+def thread_substreams() -> Substreams:
+    """The calling thread's :class:`Substreams`, built on first use."""
+    try:
+        return _thread.streams
+    except AttributeError:
+        _thread.streams = Substreams()
+        return _thread.streams
+
+
+def record_keys(seed: int, count: int) -> list[int]:
+    """``[derive_key(seed, j) for j in range(count)]``, folding ``seed`` once."""
+    head = mix64(_FOLD_INIT ^ mix64(seed & _MASK64))
+    mixes = thread_substreams()._index_mixes
+    mixes.extend(mix64(j) for j in range(len(mixes), count))
+    return [mix64(head ^ m) for m in mixes[:count]]

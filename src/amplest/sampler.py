@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._util import json_int
-from .rng import Substreams
+from .rng import record_keys, thread_substreams
 from .schedules import Schedule
 
 __all__ = [
@@ -128,11 +128,12 @@ def draw_record(
     draws from the substream (seed, j), so entries are independent of the
     order in which they are produced.
     """
+    depths = schedule.depths
     shots = schedule.shots(n_shot)
     theta = angle_from_amplitude(a)
-    streams = Substreams()
+    streams = thread_substreams()
     entries = []
-    for j, (depth, n) in enumerate(zip(schedule.depths, shots)):
-        hits = binomial_draw(n, good_prob(theta, depth), streams.open(seed, j))
+    for key, depth, n in zip(record_keys(seed, len(depths)), depths, shots):
+        hits = binomial_draw(n, good_prob(theta, depth), streams.open_key(key))
         entries.append(RecordEntry(depth, n, hits))
     return MeasurementRecord(tuple(entries), a_true=a, seed=seed)

@@ -228,8 +228,10 @@ def jitter(schedule: Schedule, spread_coeff: float) -> Schedule:
     depths win these conflicts. Depth 0 is never spread. Each band's shot
     fractions are equal and sum to 1.
     """
-    if spread_coeff <= 0:
-        raise ValueError("spread_coeff must be positive")
+    if not 0.0 < spread_coeff < math.inf:
+        raise ValueError(
+            f"spread_coeff must be finite and positive, got {spread_coeff}"
+        )
     depths = schedule.depths
     if len(depths) < 2:
         raise ValueError("jitter needs a schedule with at least 2 depths")

@@ -301,6 +301,26 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"config.mode is '{mode}'"):
             run(config)
 
+    @pytest.mark.parametrize(
+        "run, mode, field, value",
+        [
+            (sweep_amplitudes, "sweep", "runs_per_point", 50),
+            (sweep_amplitudes, "sweep", "n_shot_list", [8]),
+            (sweep_amplitudes, "sweep", "k_index", 1),
+            (precision_curve, "precision_curve", "k_index", 1),
+            (exceptional_region_scan, "exceptional_region", "n_shot_list", [8]),
+        ],
+    )
+    def test_experiment_refuses_a_field_it_does_not_use(self, run, mode, field, value):
+        needed = {
+            "precision_curve": {"n_shot_list": [8]},
+            "exceptional_region": {"k_index": 1},
+        }
+        fields = {**needed.get(mode, {}), field: value}
+        config = ExperimentConfig(mode=mode, max_depth=2, amplitudes=5, **fields)
+        with pytest.raises(ValueError, match=f"{mode} does not use {field}"):
+            run(config)
+
 
     def test_non_integer_thread_count_is_named(self, monkeypatch):
         monkeypatch.setenv("AMPLEST_THREADS", "two")

@@ -7,6 +7,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from amplest.likelihood import (
+    _MARGIN,
+    _BlockGrid,
     depth_log_likelihood,
     grid_angles,
     grid_maximize,
@@ -200,6 +202,25 @@ class TestBlockMaximizer:
     @settings(max_examples=200, deadline=None, suppress_health_check=SLOW)
     def test_matches_exhaustive_scan_at_large_counts(self, rec, grid_size):
         assert_exhaustive_first_maximum(rec, grid_size)
+
+    @given(rec=records(), grid_size=st.integers(2, 400))
+    @settings(max_examples=200, deadline=None, suppress_health_check=SLOW)
+    def test_block_bounds_cover_every_column(self, rec, grid_size):
+        # the scalar reference, column by column; the bound may fall short
+        # of a column only by the maximizer's float margin
+        grid = _BlockGrid(tuple(e.depth for e in rec.entries), grid_size)
+        hits = [e.hits for e in rec.entries]
+        misses = [e.shots - e.hits for e in rec.entries]
+        bounds = grid.bounds(
+            np.array(hits, dtype=np.float64).reshape(-1, 1),
+            np.array(misses, dtype=np.float64).reshape(-1, 1),
+        )
+        thetas = grid_angles(grid_size)
+        shots = sum(hits) + sum(misses)
+        for block, bound in enumerate(bounds):
+            columns = range(grid.edges[block], grid.edges[block + 1] + 1)
+            best = max(record_log_likelihood(float(thetas[i]), rec) for i in columns)
+            assert bound >= best - _MARGIN * (abs(best) + shots)
 
     @pytest.mark.parametrize("grid_size", [2, 3, 4, 5, 10, 17, 66, 101, 700])
     def test_degenerate_records(self, grid_size):

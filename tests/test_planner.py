@@ -273,6 +273,20 @@ class TestMakePlan:
         with pytest.raises(ValueError):
             make_plan(1e-3, 0.01, 0, jittered=True)  # nothing to spread
 
+    @pytest.mark.parametrize("value", [-3.0, 0.0, math.nan, math.inf, -math.inf])
+    def test_grid_multiplier_must_be_finite_and_positive(self, value):
+        # -3.0 and 0.0 used to give a 2-point grid, NaN and inf an int error
+        with pytest.raises(ValueError, match="grid_multiplier must be finite"):
+            make_plan(1e-3, 0.01, 4, grid_multiplier=value)
+
+    @pytest.mark.parametrize("value", [-2.0, 0.0, math.nan, math.inf])
+    def test_spread_coeff_must_be_finite_and_positive(self, value):
+        with pytest.raises(ValueError, match="spread_coeff must be finite"):
+            make_plan(1e-3, 0.01, 16, jittered=True, spread_coeff=value)
+
+    def test_small_positive_grid_multiplier_keeps_the_floor(self):
+        assert make_plan(1e-3, 0.01, 4, grid_multiplier=1e-6).grid_size == 2
+
 
 class TestCallRatioTrend:
     def test_jitter_overhead_shrinks_with_depth(self):

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -8,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amplest.planner import exceptional_values
-from amplest.rng import Substreams, derive_key, mix64, substream
+from amplest.rng import Substreams, derive_key, mix64, record_keys, substream
 from amplest.sampler import (
     MeasurementRecord,
     RecordEntry,
@@ -143,6 +146,23 @@ class TestDrawRecord:
             ]
             assert all(f.result() == baseline for f in futures)
 
+    def test_concurrent_threads_match_a_serial_run(self):
+        # every thread re-keys its own generator; a shared one would mix draws
+        sched = jitter(exponential_schedule_to_depth(16), 2.0)
+        jobs = [(float(a), seed) for seed, a in enumerate(np.linspace(0, 1, 64))]
+        serial = [draw_record(a, sched, 1267, seed) for a, seed in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [
+                    pool.submit(draw_record, a, sched, 1267, seed) for a, seed in jobs
+                ]
+                threaded = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+
     def test_empirical_rate_inside_five_sigma_band(self):
         # one-depth records at a million shots: the 5-sigma bound should
         # hold in at least 99% of seeded trials
@@ -165,6 +185,35 @@ class TestSubstreams:
             got = [rng.binomial(1000, 0.3), *rng.integers(0, 2**63, size=5)]
             fresh = substream(*parts)
             assert got == [fresh.binomial(1000, 0.3), *fresh.integers(0, 2**63, size=5)]
+
+    def test_open_key_matches_open(self):
+        streams, other = Substreams(), Substreams()
+        for parts in [(3, 0), (2**64 - 1, 7), (-5, 2)]:
+            got = streams.open_key(derive_key(*parts)).integers(0, 2**63, size=5)
+            assert list(got) == list(other.open(*parts).integers(0, 2**63, size=5))
+
+    @given(
+        seed=st.integers(-(2**70), 2**70),
+        count=st.integers(0, 40),
+    )
+    @settings(max_examples=300)
+    def test_record_keys_match_derive_key(self, seed, count):
+        assert record_keys(seed, count) == [derive_key(seed, j) for j in range(count)]
+
+    def test_import_builds_no_generator(self):
+        code = (
+            "import amplest, amplest.cli, amplest.rng as rng; "
+            "print(hasattr(rng._thread, 'streams'))"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            check=True,
+            capture_output=True,
+            text=True,
+            env=env,
+        ).stdout
+        assert out.strip() == "False"
 
 
 class TestMeasurementRecord:
