@@ -121,7 +121,15 @@ def _precision_from_shots(n_shot: int, delta: float, schedule: Schedule) -> floa
 
 
 def _amplitudes(config: ExperimentConfig) -> list[float]:
-    """The configured amplitudes; a count spans [0, 1] or the exceptional band."""
+    """The configured amplitudes; a count spans [0, 1] or the exceptional band.
+
+    A ``k_index`` must name an exceptional value even where a list of
+    amplitudes leaves it unused.
+    """
+    centers = exceptional_values(config.max_depth)
+    needs_k = f"exceptional_region needs k_index in [0, {len(centers) - 1}]"
+    if config.k_index is not None and not 0 <= config.k_index < len(centers):
+        raise ValueError(needs_k)
     if not isinstance(config.amplitudes, int):
         return [float(a) for a in config.amplitudes]
     count = config.amplitudes
@@ -129,9 +137,8 @@ def _amplitudes(config: ExperimentConfig) -> list[float]:
         raise ValueError("an amplitude count must be at least 2")
     if config.mode != "exceptional_region":
         return [i / (count - 1) for i in range(count)]
-    centers = exceptional_values(config.max_depth)
-    if config.k_index is None or not 0 <= config.k_index < len(centers):
-        raise ValueError(f"exceptional_region needs k_index in [0, {len(centers) - 1}]")
+    if config.k_index is None:
+        raise ValueError(needs_k)
     center = centers[config.k_index]
     half_width = 4.0 * config.epsilon
     band = [

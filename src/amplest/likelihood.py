@@ -20,8 +20,19 @@ block, ``p`` takes every value in a range ``[p_lo, p_hi]`` cached per
 (depth, block): the two edge values, widened to 0 or 1 where the block holds
 an integer or half-integer ``c theta / pi``. The term is therefore bounded
 on the block by ``f(clip(h / n, p_lo, p_hi))``, and a block's bound is the
-sum over depths. Exactly evaluated are the block with the highest bound and
-every block whose bound reaches the best value found less a float margin.
+sum over depths. The logs of both range ends are cached too, and since
+``ln`` is increasing, ``ln clip(r, p_lo, p_hi) = clip(ln r, ln p_lo, ln p_hi)``
+(and likewise for ``ln(1 - p)``, which decreases): each term is a choice
+among the cached edge logs and the depth's peak ``h ln r + m ln(1 - r)``,
+``r = h / n``, and the bound pass takes logs of the D ratios only. Exactly
+evaluated are the block with the highest bound and every block whose bound
+reaches the best value found less a float margin.
+
+Each grid keeps the ``ln p`` and ``ln(1 - p)`` rows of the blocks it
+evaluated in a least-recently-used cache of at most ``_ROW_CACHE_BYTES``
+bytes, so a block evaluated again takes no ``sin`` or ``log``; a block
+larger than the budget is computed on every call. Memory per grid stays
+O(D sqrt(G)) plus that fixed budget.
 
 A column's value is ``sum_j (h_j ln p_j + m_j ln(1 - p_j))`` with the depths
 added in ascending order and ``p_j = sin(c_j * theta) ** 2`` in float64, so
@@ -31,6 +42,8 @@ results do not depend on batching, block layout or thread count.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -51,6 +64,11 @@ __all__ = [
 # _MARGIN * (|best| + total shots): column values carry rounding errors of
 # a few ulps of each term and of each count, far below this.
 _MARGIN = 1e-9
+# Each grid keeps the ln p and ln(1 - p) rows of its recently evaluated
+# blocks, least recently used first out, in at most this many bytes. That
+# holds every block of a 3000-point grid at d=16 and a few blocks of a
+# 300k-point grid at d=50; a block larger than this is computed every time.
+_ROW_CACHE_BYTES = 2**20
 # Integer and half-integer ``c * theta / pi`` are tested against blocks
 # widened by this much, far above its rounding; a false positive only
 # loosens a bound.
@@ -129,7 +147,9 @@ class _BlockGrid:
 
     Block ``k`` evaluates columns ``edges[k]`` to ``edges[k + 1] - 1`` (the
     last block also the final column); its bound covers both edges, over
-    which depth ``j`` sees ``sin^2(c_j theta)`` span ``[p_lo, p_hi][j, k]``.
+    which depth ``j`` sees ``sin^2(c_j theta)`` span ``[p_lo, p_hi][j, k]``,
+    with ``log_p_*`` = ``ln p`` and ``log_q_*`` = ``ln(1 - p)`` at both ends.
+    Evaluated blocks keep their rows in a cache shared by all threads.
     """
 
     def __init__(self, depths: tuple[int, ...], grid_size: int):
@@ -150,26 +170,63 @@ class _BlockGrid:
         self.p_hi = np.where(
             np.floor(x_hi - 0.5) >= x_lo - 0.5, 1.0, np.maximum(left, right)
         )
+        # freed before the four log arrays exist: a lower peak on huge grids
+        del angles, p, left, right, x, x_lo, x_hi
+        with np.errstate(divide="ignore"):
+            self.log_p_lo, self.log_q_lo = np.log(self.p_lo), np.log1p(-self.p_lo)
+            self.log_p_hi, self.log_q_hi = np.log(self.p_hi), np.log1p(-self.p_hi)
+        self._rows: OrderedDict[int, tuple[np.ndarray, np.ndarray]] = OrderedDict()
+        self._row_bytes = 0
+        self._lock = threading.Lock()
 
     def bounds(self, hits: np.ndarray, misses: np.ndarray) -> np.ndarray:
-        """Upper bound of the record's log-likelihood on each block."""
-        p = np.clip(hits / (hits + misses), self.p_lo, self.p_hi)
+        """Upper bound of the record's log-likelihood on each block.
+
+        Per depth and block, ``f(clip(r, p_lo, p_hi))`` with ``r = h / n``.
+        A monotone function commutes with min and max, so with numpy's
+        ``log`` and ``log1p`` monotone the logs of the clipped value are the
+        logs of ``r`` clipped to the block's cached edge logs, term for term
+        (the tests hold this against logs of the clipped values). A run
+        computes the logs of its D ratios only.
+        """
+        r = hits / (hits + misses)
         with np.errstate(divide="ignore"):
-            terms = _depth_terms(hits, misses, np.log(p), np.log1p(-p))
-        return terms.sum(axis=0)
+            log_r, log_1m_r = np.log(r), np.log1p(-r)
+        log_p = np.minimum(np.maximum(log_r, self.log_p_lo), self.log_p_hi)
+        log_q = np.maximum(np.minimum(log_1m_r, self.log_q_lo), self.log_q_hi)
+        return _depth_terms(hits, misses, log_p, log_q).sum(axis=0)
 
     def evaluate(
         self, block: int, hits: np.ndarray, misses: np.ndarray
     ) -> tuple[int, float]:
         """First-maximum grid index and exact value within one block."""
-        stop = self.edges[block + 1] + (block + 2 == len(self.edges))
-        cols = np.arange(self.edges[block], stop)
-        log_p, log_q = _log_probs(self.factors * (cols * self.step))
+        log_p, log_q = self._block_rows(block)
         # Reducing axis 0 of a C-ordered array adds the rows one by one,
         # so the depths are summed in ascending order.
         values = np.add.reduce(_depth_terms(hits, misses, log_p, log_q), axis=0)
         i = int(np.argmax(values))
-        return int(cols[i]), float(values[i])
+        return int(self.edges[block]) + i, float(values[i])
+
+    def _block_rows(self, block: int) -> tuple[np.ndarray, np.ndarray]:
+        """``ln p`` and ``ln(1 - p)`` over a block's columns, rows by depth."""
+        with self._lock:
+            rows = self._rows.get(block)
+            if rows is not None:
+                self._rows.move_to_end(block)
+                return rows
+            stop = self.edges[block + 1] + (block + 2 == len(self.edges))
+            cols = np.arange(self.edges[block], stop)
+            rows = _log_probs(self.factors * (cols * self.step))
+            size = rows[0].nbytes + rows[1].nbytes
+            if size <= _ROW_CACHE_BYTES:
+                for row in rows:
+                    row.flags.writeable = False  # shared by every later call
+                self._rows[block] = rows
+                self._row_bytes += size
+                while self._row_bytes > _ROW_CACHE_BYTES:
+                    _, (log_p, log_q) = self._rows.popitem(last=False)
+                    self._row_bytes -= log_p.nbytes + log_q.nbytes
+            return rows
 
 
 @lru_cache(maxsize=3)

@@ -147,6 +147,21 @@ class TestExceptionalRegion:
         with pytest.raises(ValueError, match=f"k_index {k_index}: {band}"):
             exceptional_region_scan(config)
 
+    @pytest.mark.parametrize("amplitudes", [[0.3, 0.4], 5])
+    @pytest.mark.parametrize("k_index", [-1, 34, 999])
+    def test_k_index_out_of_range_is_refused(self, amplitudes, k_index):
+        # a list of amplitudes leaves k_index unused, but a wrong one still
+        # names no exceptional value of the d=16 schedule (k in [0, 33])
+        config = ExperimentConfig(
+            mode="exceptional_region",
+            epsilon=1e-3,
+            max_depth=16,
+            amplitudes=amplitudes,
+            k_index=k_index,
+        )
+        with pytest.raises(ValueError, match=r"needs k_index in \[0, 33\]"):
+            exceptional_region_scan(config)
+
     def test_depth50_structure(self):
         # the band around one exceptional value of a depth-50 schedule:
         # plain schedules fail inside +-epsilon of the centre, jittered

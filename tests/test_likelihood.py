@@ -1,14 +1,19 @@
 import math
+import random
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import amplest.likelihood as likelihood
 from amplest.likelihood import (
     _MARGIN,
     _BlockGrid,
+    _block_grid,
     depth_log_likelihood,
     grid_angles,
     grid_maximize,
@@ -260,6 +265,168 @@ class TestBlockMaximizer:
         window = exhaustive_values(rec, np.arange(lo, lo + 20_001) * step)
         assert int(np.argmax(window)) == 10_000
         assert est.log_likelihood == window[10_000]
+
+
+def count_columns(rec: MeasurementRecord) -> tuple[np.ndarray, np.ndarray]:
+    hits = [e.hits for e in rec.entries]
+    misses = [e.shots - e.hits for e in rec.entries]
+    return (
+        np.array(hits, dtype=np.float64).reshape(-1, 1),
+        np.array(misses, dtype=np.float64).reshape(-1, 1),
+    )
+
+
+def clip_and_log_bounds(grid: _BlockGrid, rec: MeasurementRecord) -> np.ndarray:
+    """The block bound as sum_j f_j(clip(h_j / n_j, p_lo, p_hi)), logs of the clip.
+
+    The reference for the maximizer's bound pass: logs are taken of every
+    clipped value, zero counts drop out, and depths are added in order.
+    """
+    hits, misses = count_columns(rec)
+    p = np.clip(hits / (hits + misses), grid.p_lo, grid.p_hi)
+    total = np.zeros(p.shape[1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(p.shape[0]):
+            good = np.where(hits[j] > 0, hits[j] * np.log(p[j]), 0.0)
+            bad = np.where(misses[j] > 0, misses[j] * np.log1p(-p[j]), 0.0)
+            total = total + (good + bad)
+    return total
+
+
+def cached_row_bytes(grid: _BlockGrid) -> int:
+    return sum(log_p.nbytes + log_q.nbytes for log_p, log_q in grid._rows.values())
+
+
+@pytest.fixture
+def fresh_grids():
+    """Grids built inside the test, with the row-cache budget it sets."""
+    _block_grid.cache_clear()
+    yield
+    _block_grid.cache_clear()
+
+
+def spread_records(count: int, seed: int) -> tuple[list[MeasurementRecord], int]:
+    """Records of one d=16 jittered plan at amplitudes all over [0, 1]."""
+    plan = make_plan(1e-3, 0.01, 16, jittered=True)
+    amplitudes = [0.0, 1.0, *exceptional_values(16)[1:6]]
+    amplitudes += [float(a) for a in substream(seed).uniform(0, 1, count - 7)]
+    recs = [
+        draw_record(a, plan.schedule, plan.n_shot, seed + i)
+        for i, a in enumerate(amplitudes)
+    ]
+    return recs, plan.grid_size
+
+
+class TestCachedBoundsAndRows:
+    """The bound pass over cached edge logs and the cache of evaluated rows."""
+
+    @given(
+        rec=st.one_of(records(), records(max_depth=0)),
+        grid_size=st.integers(2, 700),
+    )
+    @settings(max_examples=300, deadline=None, suppress_health_check=SLOW)
+    def test_bounds_equal_clip_and_log(self, rec, grid_size):
+        grid = _BlockGrid(tuple(e.depth for e in rec.entries), grid_size)
+        expected = clip_and_log_bounds(grid, rec)
+        assert np.array_equal(grid.bounds(*count_columns(rec)), expected)
+
+    @pytest.mark.parametrize("grid_size", [2, 5, 66, 700, 3001])
+    @pytest.mark.parametrize(
+        "rec",
+        [
+            record((0, 10, 0), (0, 7, 7), (0, 9, 4)),
+            record((0, 10, 10), (1, 10, 10), (4, 10, 10)),
+            record((0, 10, 0), (1, 10, 0), (4, 10, 0)),
+            record((0, 100, 25), (1, 100, 0), (3, 100, 100), (16, 100, 50)),
+        ],
+    )
+    def test_bounds_equal_clip_and_log_at_exact_edges(self, rec, grid_size):
+        # every grid has p_lo = 0 cells (theta = 0) and p_hi = 1 cells
+        # (theta = pi/2); zero hits or misses drop terms over them
+        grid = _BlockGrid(tuple(e.depth for e in rec.entries), grid_size)
+        assert (grid.p_lo == 0.0).any() and (grid.p_hi == 1.0).any()
+        expected = clip_and_log_bounds(grid, rec)
+        assert np.array_equal(grid.bounds(*count_columns(rec)), expected)
+
+    @pytest.mark.parametrize("budget", ["default", "one block", "last block", "none"])
+    def test_any_order_and_budget_give_the_same_estimates(
+        self, budget, monkeypatch, fresh_grids
+    ):
+        # 3000 columns in blocks of 55 and a last one of 30 (the a = 1 run's)
+        recs, grid_size = spread_records(80, 21)
+        in_order = [grid_maximize(rec, grid_size) for rec in recs]
+        _block_grid.cache_clear()
+        grid = _block_grid(tuple(e.depth for e in recs[0].entries), grid_size)
+        row_bytes = 2 * 8 * grid.factors.size
+        limit = {
+            "default": likelihood._ROW_CACHE_BYTES,
+            "one block": 56 * row_bytes,
+            "last block": 30 * row_bytes,
+            "none": 29 * row_bytes,
+        }[budget]
+        monkeypatch.setattr(likelihood, "_ROW_CACHE_BYTES", limit)
+        order = list(range(len(recs)))
+        random.Random(5).shuffle(order)
+        for i in order:
+            assert grid_maximize(recs[i], grid_size) == in_order[i]
+            assert cached_row_bytes(grid) <= limit
+            assert cached_row_bytes(grid) == grid._row_bytes
+        held = list(grid._rows)
+        last = len(grid.edges) - 2
+        assert {
+            "default": len(held) > 1,
+            "one block": len(held) == 1,
+            # a larger block is computed, not cached, and evicts nothing
+            "last block": held == [last],
+            "none": held == [],
+        }[budget]
+
+    def test_cached_rows_take_no_sin_or_log(self, monkeypatch, fresh_grids):
+        calls = []
+
+        def counted(angles):
+            calls.append(angles.shape)
+            return log_probs(angles)
+
+        log_probs = likelihood._log_probs
+        monkeypatch.setattr(likelihood, "_log_probs", counted)
+        plan = make_plan(1e-4, 0.01, 50, jittered=True, grid_multiplier=30.0)
+        rec = draw_record(0.3, plan.schedule, plan.n_shot, 1)
+        estimate = grid_maximize(rec, plan.grid_size)
+        computed = len(calls)
+        assert computed >= 1
+        assert grid_maximize(rec, plan.grid_size) == estimate
+        assert len(calls) == computed
+
+    def test_rows_are_read_only(self, fresh_grids):
+        rec = record((0, 10, 4), (2, 10, 7))
+        grid_maximize(rec, 101)
+        grid = _block_grid((0, 2), 101)
+        log_p, _ = next(iter(grid._rows.values()))
+        with pytest.raises(ValueError):
+            log_p[0, 0] = 0.0
+
+    def test_threads_share_one_grid(self, monkeypatch, fresh_grids):
+        # more threads than cores on one grid whose cache holds one block,
+        # so that threads evict each other's rows between calls
+        recs, grid_size = spread_records(96, 33)
+        serial = [grid_maximize(rec, grid_size) for rec in recs]
+        _block_grid.cache_clear()
+        grid = _block_grid(tuple(e.depth for e in recs[0].entries), grid_size)
+        budget = 56 * 2 * 8 * grid.factors.size  # 56 columns of ln p, ln(1 - p)
+        monkeypatch.setattr(likelihood, "_ROW_CACHE_BYTES", budget)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [
+                    pool.submit(grid_maximize, rec, grid_size) for rec in recs * 4
+                ]
+                threaded = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial * 4
+        assert cached_row_bytes(grid) == grid._row_bytes <= budget
 
 
 class TestRunMlqae:
