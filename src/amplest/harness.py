@@ -13,11 +13,21 @@ A config field the mode does not use is refused, not ignored: a sweep's
 ``runs_per_point`` other than 1, and ``n_shot_list`` or ``k_index`` outside
 the precision curve or the region scan.
 
+Points run in forked worker processes (:func:`_map_points`). With ``w``
+workers, child ``k`` inherits the job through ``os.fork`` and computes
+points ``k, k + w, ...``; the parent reads each child's pickled share from a
+pipe, reaps every child and interleaves the shares back into point order.
+An exception raised in a worker reaches the caller with its type and
+message; a worker that dies without a result raises ``RuntimeError``. One
+worker, fewer than four points, or a platform without ``os.fork`` runs the
+points serially in the calling process.
+
 Reproducibility contract (see README): run ``r`` of point ``i`` uses the
 seed ``derive_key(base_seed, MODE_TAGS[mode], i, r)`` and floats are written
-with 17 significant digits. ``AMPLEST_THREADS`` caps the worker count
-(default: all cores); every run derives its own seed and rows come back in
-point order, so files are byte-identical at any worker count.
+with 17 significant digits. ``AMPLEST_THREADS`` caps the forked worker
+processes (default: the cores this process may run on); every run derives
+its own seed and rows come back in point order, so files are byte-identical
+at any worker count.
 """
 
 from __future__ import annotations
@@ -25,9 +35,10 @@ from __future__ import annotations
 import csv
 import math
 import os
+import pickle
+import signal
 from dataclasses import dataclass
-from functools import partial
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 from ._util import ceil_guarded
 from .likelihood import grid_maximize
@@ -153,7 +164,7 @@ def _amplitudes(config: ExperimentConfig) -> list[float]:
 
 @dataclass(frozen=True)
 class _Job:
-    """What every point of one experiment shares; sent to each worker chunk."""
+    """What every point of one experiment shares; forked workers inherit it."""
 
     schedule: Schedule
     grid_size: int
@@ -172,9 +183,19 @@ def _estimates(job: _Job, i: int, a: float, n_shot: int) -> list[tuple[int, floa
     return out
 
 
-def _worker_count() -> int:
+def _usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _worker_count(n_points: int) -> int:
+    """``AMPLEST_THREADS`` (default: usable cores), at most one per point."""
     env = os.environ.get("AMPLEST_THREADS")
-    if env is not None:
+    if env is None:
+        count = _usable_cores()
+    else:
         try:
             count = int(env)
         except ValueError:
@@ -183,31 +204,89 @@ def _worker_count() -> int:
             ) from None
         if count < 1:
             raise ValueError("AMPLEST_THREADS must be at least 1")
-        return count
-    return os.cpu_count() or 1
+    return min(count, n_points)
 
 
 def _map_points(
     mode: str, job: _Job, points: list[tuple[float, int]]
 ) -> list[list[tuple[int, float]]]:
-    """:func:`_estimates` at each ``(a, n_shot)`` point, serially or in a pool."""
-    estimate = partial(_estimates, job)
-    columns = (range(len(points)), *zip(*points))
-    workers = _worker_count()
-    if workers == 1 or len(points) < 4:
-        return list(map(estimate, *columns))
-    # imported here: the pool module is a measurable share of CLI start-up
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+    """:func:`_estimates` at each ``(a, n_shot)`` point, serially or in forked workers.
 
-    chunk = max(1, len(points) // (workers * 4))
+    With ``w`` workers the process forks ``w`` children; child ``k`` inherits
+    ``job`` and ``points`` through the fork and computes points ``k, k + w,
+    ...``. It pickles ``("ok", estimates)``, or ``("error", exc)`` when
+    :func:`_estimates` raised, into its pipe and leaves through ``os._exit``,
+    so no atexit handler runs and no inherited stdio buffer is flushed twice.
+    The parent reads every pipe to EOF, reaps every child on every path,
+    interleaves the shares back into point order and re-raises a worker's
+    exception with its type and message; its traceback stays in the worker,
+    and ``AMPLEST_THREADS=1`` reproduces it in this process. A worker that
+    exits without a result raises :class:`RuntimeError`.
+
+    The points run serially, in this process, with one worker, below four
+    points, or where ``os.fork`` does not exist. Fork copies only the calling
+    thread: a lock that another thread holds at that moment, such as a grid's
+    row-cache lock, stays held in every child.
+    """
+    workers = _worker_count(len(points))
+    if workers == 1 or len(points) < 4 or not hasattr(os, "fork"):
+        return [_estimates(job, i, a, n_shot) for i, (a, n_shot) in enumerate(points)]
+    pids: list[int] = []
+    pipes = []
     try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(estimate, *columns, chunksize=chunk))
-    except BrokenProcessPool as exc:
-        raise RuntimeError(
-            f"{mode}: a worker process died while running {len(points)} points "
-            f"on {workers} workers; AMPLEST_THREADS=1 runs the job serially"
-        ) from exc
+        for k in range(workers):
+            read, write = os.pipe()
+            pipes.append(os.fdopen(read, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _worker(job, points, k, workers, write)
+            finally:
+                os.close(write)
+            pids.append(pid)
+        payloads = [pipe.read() for pipe in pipes]
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    out: list = [None] * len(points)
+    for k, (payload, status) in enumerate(zip(payloads, statuses)):
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0 or not payload:
+            # the exception type callers know; its module costs ~30 ms to import
+            from concurrent.futures.process import BrokenProcessPool
+
+            raise RuntimeError(
+                f"{mode}: a worker process died while running {len(points)} points "
+                f"on {workers} workers; AMPLEST_THREADS=1 runs the job serially"
+            ) from BrokenProcessPool(f"worker {k} exited with code {code}")
+        kind, value = pickle.loads(payload)
+        if kind == "error":
+            raise value
+        out[k::workers] = value
+    return out
+
+
+def _worker(
+    job: _Job, points: list[tuple[float, int]], k: int, workers: int, write: int
+) -> NoReturn:
+    """Forked child ``k`` of :func:`_map_points`: pickle its share; never returns."""
+    code = 1
+    try:
+        try:
+            share = range(k, len(points), workers)
+            result = ("ok", [_estimates(job, i, *points[i]) for i in share])
+        except Exception as exc:
+            result = ("error", exc)
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(pickle.dumps(result))
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _run(config: ExperimentConfig, mode: str) -> list[dict]:

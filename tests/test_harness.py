@@ -1,7 +1,9 @@
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -264,6 +266,47 @@ def _die(*args):
     os._exit(3)
 
 
+_ESTIMATES = harness._estimates
+
+
+def _fail_at_point_three(job, i, a, n_shot):
+    if i == 3:
+        raise ValueError(f"no estimate at point {i}")
+    return _ESTIMATES(job, i, a, n_shot)
+
+
+def _sleep(*args):
+    time.sleep(10)
+
+
+def _sweep_bytes(tmp_path, monkeypatch, threads, points):
+    monkeypatch.setenv("AMPLEST_THREADS", str(threads))
+    config = ExperimentConfig(mode="sweep", max_depth=4, amplitudes=points, base_seed=9)
+    path = tmp_path / f"sweep-{threads}-{points}.csv"
+    write_rows(str(path), "sweep", sweep_amplitudes(config))
+    return path.read_bytes()
+
+
+def _python(code, *args, threads="2"):
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(sys.path),
+        "AMPLEST_THREADS": threads,
+    }
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        check=True,
+        capture_output=True,
+        text=True,
+        env=env,
+    ).stdout
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestWorkerPool:
     def test_broken_pool_names_the_job(self, monkeypatch):
         monkeypatch.setenv("AMPLEST_THREADS", "2")
@@ -290,6 +333,100 @@ class TestWorkerPool:
             env=env,
         ).stdout
         assert out.strip() == "False"
+
+    @pytest.mark.parametrize("points", [5, 7])
+    def test_uneven_shares_write_the_serial_bytes(self, tmp_path, monkeypatch, points):
+        serial = _sweep_bytes(tmp_path, monkeypatch, 1, points)
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        assert _sweep_bytes(tmp_path, monkeypatch, 3, points) == serial
+        assert len(forks) == 3
+
+    def test_without_fork_the_points_run_serially(self, tmp_path, monkeypatch):
+        serial = _sweep_bytes(tmp_path, monkeypatch, 1, 8)
+        monkeypatch.delattr(os, "fork")
+        assert _sweep_bytes(tmp_path, monkeypatch, 2, 8) == serial
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setenv("AMPLEST_THREADS", "2")
+        monkeypatch.setattr(harness, "_estimates", _fail_at_point_three)
+        config = ExperimentConfig(mode="sweep", max_depth=2, amplitudes=8)
+        with pytest.raises(ValueError) as info:
+            sweep_amplitudes(config)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "no estimate at point 3"
+
+    def test_no_child_is_left_behind(self, monkeypatch):
+        monkeypatch.setenv("AMPLEST_THREADS", "2")
+        config = ExperimentConfig(mode="sweep", max_depth=2, amplitudes=8)
+        sweep_amplitudes(config)
+        _assert_no_child()
+        failures = ((_fail_at_point_three, ValueError), (_die, RuntimeError))
+        for estimates, error in failures:
+            monkeypatch.setattr(harness, "_estimates", estimates)
+            with pytest.raises(error):
+                sweep_amplitudes(config)
+            _assert_no_child()
+
+    def test_interrupt_kills_and_reaps_every_worker(self, monkeypatch):
+        monkeypatch.setenv("AMPLEST_THREADS", "2")
+        monkeypatch.setattr(harness, "_estimates", _sleep)
+        config = ExperimentConfig(mode="sweep", max_depth=2, amplitudes=4)
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        start = time.monotonic()
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.5)
+            with pytest.raises(KeyboardInterrupt):
+                sweep_amplitudes(config)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - start < 5
+        _assert_no_child()
+
+    def test_text_printed_before_a_pooled_run_appears_once(self):
+        code = (
+            "from amplest.harness import ExperimentConfig, sweep_amplitudes\n"
+            "print('printed before the pool')\n"
+            "config = ExperimentConfig(mode='sweep', max_depth=2, amplitudes=8)\n"
+            "sweep_amplitudes(config)\n"
+        )
+        assert _python(code).count("printed before the pool") == 1
+
+    def test_pooled_cli_sweep_leaves_the_pool_modules_out(self, tmp_path):
+        code = (
+            "import sys, amplest.cli\n"
+            "amplest.cli.main(['sweep', '--max-depth', '2', '--epsilon', '0.05',"
+            " '--points', '8', '--out', sys.argv[1]])\n"
+            "print([m for m in ('concurrent.futures.process', 'multiprocessing')"
+            " if m in sys.modules])\n"
+        )
+        out = tmp_path / "sweep.csv"
+        assert _python(code, str(out)).strip() == "[]"
+        assert len(out.read_text().splitlines()) == 9
+
+    def test_default_worker_count_is_the_usable_cores(self, monkeypatch):
+        monkeypatch.delenv("AMPLEST_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0, 5, 9}, raising=False
+        )
+        assert harness._worker_count(100) == 3
+        assert harness._worker_count(2) == 2
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert harness._worker_count(100) == 64
+
+    def test_thread_count_is_capped_by_the_points(self, monkeypatch):
+        monkeypatch.setenv("AMPLEST_THREADS", "100000")
+        assert harness._worker_count(7) == 7
+        assert harness._worker_count(1) == 1
+        monkeypatch.setenv("AMPLEST_THREADS", "3")
+        assert harness._worker_count(7) == 3
 
 
 class TestGridPoints:
