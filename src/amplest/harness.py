@@ -38,9 +38,10 @@ import os
 import pickle
 import signal
 from dataclasses import dataclass
+from numbers import Number
 from typing import Iterable, NoReturn, Sequence
 
-from ._util import ceil_guarded
+from ._util import ceil_guarded, json_int
 from .likelihood import grid_maximize
 from .planner import (
     erfinv,
@@ -82,7 +83,7 @@ CSV_COLUMNS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Inputs of one harness invocation."""
+    """Inputs of one harness invocation; integer fields refuse bools and floats."""
 
     mode: str
     epsilon: float = 1e-3
@@ -104,11 +105,19 @@ class ExperimentConfig:
             raise ValueError("epsilon must lie in (0, 0.5)")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
+        for field in ("max_depth", "runs_per_point", "base_seed", "k_index"):
+            if getattr(self, field) is not None:
+                self._set_int(field)
         if self.runs_per_point < 1:
             raise ValueError("runs_per_point must be at least 1")
-        if not isinstance(self.amplitudes, int):
-            if any(not 0 <= a <= 1 for a in self.amplitudes):
-                raise ValueError("amplitudes must lie in [0, 1]")
+        if isinstance(self.amplitudes, Number):
+            self._set_int("amplitudes")
+        elif any(not 0 <= a <= 1 for a in self.amplitudes):
+            raise ValueError("amplitudes must lie in [0, 1]")
+
+    def _set_int(self, field: str) -> None:
+        """Keep ``field`` as an int (``derive_key`` takes no numpy integer)."""
+        object.__setattr__(self, field, json_int(getattr(self, field), field))
 
 
 def achieved_precision(errors: Sequence[float], delta: float) -> float:
@@ -224,9 +233,7 @@ def _map_points(
     exits without a result raises :class:`RuntimeError`.
 
     The points run serially, in this process, with one worker, below four
-    points, or where ``os.fork`` does not exist. Fork copies only the calling
-    thread: a lock that another thread holds at that moment, such as a grid's
-    row-cache lock, stays held in every child.
+    points, or where ``os.fork`` does not exist.
     """
     workers = _worker_count(len(points))
     if workers == 1 or len(points) < 4 or not hasattr(os, "fork"):
@@ -312,7 +319,9 @@ def _run(config: ExperimentConfig, mode: str) -> list[dict]:
     )
     grid_size = plan.grid_size
     if mode == "precision_curve":
-        shot_list = [int(n) for n in config.n_shot_list]
+        shot_list = [json_int(n, "n_shot_list") for n in config.n_shot_list]
+        if min(shot_list) < 1:
+            raise ValueError(f"n_shot_list entries must be at least 1: {shot_list}")
         eps_min = _precision_from_shots(max(shot_list), config.delta, plan.schedule)
         grid_size = grid_points(config.grid_multiplier, eps_min)
     else:

@@ -16,11 +16,11 @@ kept per (depths, grid_size), so memory and per-run work are O(D sqrt(G))
 for D depths and G grid points, at any ``epsilon``. Each depth's term is
 ``f(p) = h ln p + m ln(1 - p)`` at ``p = sin^2(c theta)`` (``c = 2d + 1``),
 and ``f`` is concave in ``p`` with its maximum at ``p = h / n``. Over a
-block, ``p`` takes every value in a range ``[p_lo, p_hi]`` cached per
-(depth, block): the two edge values, widened to 0 or 1 where the block holds
+block, ``p`` takes every value in a range ``[p_lo, p_hi]`` per (depth,
+block): the two edge values, widened to 0 or 1 where the block holds
 an integer or half-integer ``c theta / pi``. The term is therefore bounded
 on the block by ``f(clip(h / n, p_lo, p_hi))``, and a block's bound is the
-sum over depths. The logs of both range ends are cached too, and since
+sum over depths. The logs of both range ends are cached, and since
 ``ln`` is increasing, ``ln clip(r, p_lo, p_hi) = clip(ln r, ln p_lo, ln p_hi)``
 (and likewise for ``ln(1 - p)``, which decreases): each term is a choice
 among the cached edge logs and the depth's peak ``h ln r + m ln(1 - r)``,
@@ -29,10 +29,9 @@ evaluated are the block with the highest bound and every block whose bound
 reaches the best value found less a float margin.
 
 Each grid keeps the ``ln p`` and ``ln(1 - p)`` rows of the blocks it
-evaluated in a least-recently-used cache of at most ``_ROW_CACHE_BYTES``
-bytes, so a block evaluated again takes no ``sin`` or ``log``; a block
-larger than the budget is computed on every call. Memory per grid stays
-O(D sqrt(G)) plus that fixed budget.
+evaluated in its own ``functools.lru_cache`` of as many blocks as fit in
+``_ROW_CACHE_BYTES``, so a block evaluated again takes no ``sin`` or ``log``.
+Memory per grid stays O(D sqrt(G)) plus that fixed budget.
 
 A column's value is ``sum_j (h_j ln p_j + m_j ln(1 - p_j))`` with the depths
 added in ascending order and ``p_j = sin(c_j * theta) ** 2`` in float64, so
@@ -42,10 +41,8 @@ results do not depend on batching, block layout or thread count.
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -67,7 +64,7 @@ _MARGIN = 1e-9
 # Each grid keeps the ln p and ln(1 - p) rows of its recently evaluated
 # blocks, least recently used first out, in at most this many bytes. That
 # holds every block of a 3000-point grid at d=16 and a few blocks of a
-# 300k-point grid at d=50; a block larger than this is computed every time.
+# 300k-point grid at d=50; below one block it holds none.
 _ROW_CACHE_BYTES = 2**20
 # Integer and half-integer ``c * theta / pi`` are tested against blocks
 # widened by this much, far above its rounding; a false positive only
@@ -116,11 +113,16 @@ def record_log_likelihood(theta: float, record: MeasurementRecord) -> float:
     )
 
 
+def _angle_step(grid_size: int) -> float:
+    """Angle between neighbouring points of a ``grid_size``-point grid."""
+    return math.pi / 2.0 / (grid_size - 1)
+
+
 def grid_angles(grid_size: int) -> np.ndarray:
     """``grid_size`` evenly spaced angles covering [0, pi/2] inclusive."""
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
-    return np.arange(grid_size) * (math.pi / 2.0 / (grid_size - 1))
+    return np.arange(grid_size) * _angle_step(grid_size)
 
 
 def _log_probs(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -142,14 +144,39 @@ def _depth_terms(
     return good + bad
 
 
+def _sin2_ranges(factors: np.ndarray, edges: np.ndarray, step: float):
+    """``[p_lo, p_hi]`` of ``sin^2(c theta)`` per depth (row) and block (column)."""
+    angles = factors * (edges * step)
+    p = np.sin(angles) ** 2
+    x = angles / math.pi
+    left, right = p[:, :-1], p[:, 1:]
+    # sin^2(pi x) is 0 at integer x and 1 at half-integer x.
+    x_lo, x_hi = x[:, :-1] - _EXTREMUM_SLACK, x[:, 1:] + _EXTREMUM_SLACK
+    p_lo = np.where(np.floor(x_hi) >= x_lo, 0.0, np.minimum(left, right))
+    p_hi = np.where(np.floor(x_hi - 0.5) >= x_lo - 0.5, 1.0, np.maximum(left, right))
+    return p_lo, p_hi
+
+
+def _rows_of(factors: np.ndarray, edges: np.ndarray, step: float, block: int):
+    """Read-only ``ln p`` and ``ln(1 - p)`` over a block's columns, rows by depth."""
+    stop = edges[block + 1] + (block + 2 == len(edges))
+    rows = _log_probs(factors * (np.arange(edges[block], stop) * step))
+    for row in rows:
+        row.flags.writeable = False  # a cached row is shared by every later call
+    return rows
+
+
 class _BlockGrid:
     """Block edges of the angle grid for one tuple of depths.
 
     Block ``k`` evaluates columns ``edges[k]`` to ``edges[k + 1] - 1`` (the
     last block also the final column); its bound covers both edges, over
-    which depth ``j`` sees ``sin^2(c_j theta)`` span ``[p_lo, p_hi][j, k]``,
-    with ``log_p_*`` = ``ln p`` and ``log_q_*`` = ``ln(1 - p)`` at both ends.
-    Evaluated blocks keep their rows in a cache shared by all threads.
+    which depth ``j`` sees ``sin^2(c_j theta)`` span ``[p_lo, p_hi][j, k]``
+    (:func:`_sin2_ranges`), kept as ``log_p_*`` = ``ln p`` and ``log_q_*`` =
+    ``ln(1 - p)`` at both ends. ``rows(k)`` caches the rows of as many blocks
+    of the widest size (``width + 1`` columns) as fit in ``_ROW_CACHE_BYTES``,
+    least recently used first out. It holds no reference to the grid, so a
+    grid dropped from :func:`_block_grid` is freed at once.
     """
 
     def __init__(self, depths: tuple[int, ...], grid_size: int):
@@ -157,27 +184,17 @@ class _BlockGrid:
             raise ValueError("grid_size must be at least 2")
         width = math.isqrt(grid_size - 1) + 1
         self.edges = np.append(np.arange(0, grid_size - 1, width), grid_size - 1)
-        self.step = math.pi / 2.0 / (grid_size - 1)
+        self.step = _angle_step(grid_size)
         # Rows are depths: factors is the (D, 1) column of c = 2d + 1.
         self.factors = np.array([2.0 * d + 1.0 for d in depths]).reshape(-1, 1)
-        angles = self.factors * (self.edges * self.step)
-        p = np.sin(angles) ** 2
-        left, right = p[:, :-1], p[:, 1:]
-        # sin^2(pi x) is 0 at integer x and 1 at half-integer x.
-        x = angles / math.pi
-        x_lo, x_hi = x[:, :-1] - _EXTREMUM_SLACK, x[:, 1:] + _EXTREMUM_SLACK
-        self.p_lo = np.where(np.floor(x_hi) >= x_lo, 0.0, np.minimum(left, right))
-        self.p_hi = np.where(
-            np.floor(x_hi - 0.5) >= x_lo - 0.5, 1.0, np.maximum(left, right)
-        )
-        # freed before the four log arrays exist: a lower peak on huge grids
-        del angles, p, left, right, x, x_lo, x_hi
+        p_lo, p_hi = _sin2_ranges(self.factors, self.edges, self.step)
         with np.errstate(divide="ignore"):
-            self.log_p_lo, self.log_q_lo = np.log(self.p_lo), np.log1p(-self.p_lo)
-            self.log_p_hi, self.log_q_hi = np.log(self.p_hi), np.log1p(-self.p_hi)
-        self._rows: OrderedDict[int, tuple[np.ndarray, np.ndarray]] = OrderedDict()
-        self._row_bytes = 0
-        self._lock = threading.Lock()
+            self.log_p_lo, self.log_q_lo = np.log(p_lo), np.log1p(-p_lo)
+            self.log_p_hi, self.log_q_hi = np.log(p_hi), np.log1p(-p_hi)
+        block_bytes = 16 * max(1, len(depths)) * (width + 1)
+        self.rows = lru_cache(maxsize=_ROW_CACHE_BYTES // block_bytes)(
+            partial(_rows_of, self.factors, self.edges, self.step)
+        )
 
     def bounds(self, hits: np.ndarray, misses: np.ndarray) -> np.ndarray:
         """Upper bound of the record's log-likelihood on each block.
@@ -200,49 +217,17 @@ class _BlockGrid:
         self, block: int, hits: np.ndarray, misses: np.ndarray
     ) -> tuple[int, float]:
         """First-maximum grid index and exact value within one block."""
-        log_p, log_q = self._block_rows(block)
+        log_p, log_q = self.rows(block)
         # Reducing axis 0 of a C-ordered array adds the rows one by one,
         # so the depths are summed in ascending order.
         values = np.add.reduce(_depth_terms(hits, misses, log_p, log_q), axis=0)
         i = int(np.argmax(values))
         return int(self.edges[block]) + i, float(values[i])
 
-    def _block_rows(self, block: int) -> tuple[np.ndarray, np.ndarray]:
-        """``ln p`` and ``ln(1 - p)`` over a block's columns, rows by depth."""
-        with self._lock:
-            rows = self._rows.get(block)
-            if rows is not None:
-                self._rows.move_to_end(block)
-                return rows
-            stop = self.edges[block + 1] + (block + 2 == len(self.edges))
-            cols = np.arange(self.edges[block], stop)
-            rows = _log_probs(self.factors * (cols * self.step))
-            size = rows[0].nbytes + rows[1].nbytes
-            if size <= _ROW_CACHE_BYTES:
-                for row in rows:
-                    row.flags.writeable = False  # shared by every later call
-                self._rows[block] = rows
-                self._row_bytes += size
-                while self._row_bytes > _ROW_CACHE_BYTES:
-                    _, (log_p, log_q) = self._rows.popitem(last=False)
-                    self._row_bytes -= log_p.nbytes + log_q.nbytes
-            return rows
-
 
 @lru_cache(maxsize=3)
 def _block_grid(depths: tuple[int, ...], grid_size: int) -> _BlockGrid:
     return _BlockGrid(depths, grid_size)
-
-
-def _estimate_from_index(idx: int, value: float, grid_size: int) -> Estimate:
-    theta = idx * (math.pi / 2.0 / (grid_size - 1))
-    return Estimate(
-        theta_hat=theta,
-        a_hat=amplitude_from_angle(theta),
-        grid_index=idx,
-        log_likelihood=value,
-        grid_size=grid_size,
-    )
 
 
 def grid_maximize(record: MeasurementRecord, grid_size: int) -> Estimate:
@@ -260,7 +245,8 @@ def grid_maximize(record: MeasurementRecord, grid_size: int) -> Estimate:
             i, v = grid.evaluate(block, hits, misses)
             if v > value or (v == value and i < idx):
                 idx, value = i, v
-    return _estimate_from_index(idx, value, grid_size)
+    theta = idx * _angle_step(grid_size)
+    return Estimate(theta, amplitude_from_angle(theta), idx, value, grid_size)
 
 
 def run_mlqae(a_true: float, plan: Plan, seed: int) -> Estimate:

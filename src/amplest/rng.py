@@ -33,13 +33,16 @@ first call to :func:`thread_substreams` (never at import), and re-keys its
 generator in place for every substream; a re-keyed generator is in the
 state a fresh ``substream`` would start in. :func:`record_keys` returns a
 record's depth keys ``derive_key(seed, j)`` with the fold of ``seed``
-computed once per record and ``mix64(j)`` once per thread, so each depth
-costs one ``mix64``. Neither changes a key or a draw.
+computed once per record and the ``mix64(j)`` read from a bounded
+``functools.lru_cache`` of one tuple per record length, shared by the
+process's threads, so each depth costs one ``mix64``. Neither changes a
+key or a draw.
 """
 
 from __future__ import annotations
 
 import threading
+from functools import lru_cache
 
 import numpy as np
 
@@ -71,13 +74,11 @@ def substream(*parts: int) -> np.random.Generator:
 class Substreams:
     """Successive substreams drawn from one Philox generator, re-keyed in place.
 
-    ``open(*parts)`` puts the generator in the state ``substream(*parts)``
-    starts in (key ``derive_key(*parts)``, counter 0, empty buffer) and
+    ``open_key(derive_key(*parts))`` puts the generator in the state
+    ``substream(*parts)`` starts in (that key, counter 0, empty buffer) and
     returns it, which saves building a bit generator and a ``Generator`` per
-    substream; ``open_key(key)`` does the same for a key already derived. A
-    generator returned earlier is the same object and moves on. One instance
-    serves one thread at a time; it also caches that thread's ``mix64(j)``
-    for :func:`record_keys`.
+    substream. A generator returned earlier is the same object and moves on.
+    One instance serves one thread at a time.
     """
 
     def __init__(self) -> None:
@@ -91,10 +92,6 @@ class Substreams:
             "state": {k: v.tolist() for k, v in state["state"].items()},
             "buffer": state["buffer"].tolist(),
         }
-        self._index_mixes: list[int] = []  # mix64(j) for j = 0, 1, ...
-
-    def open(self, *parts: int) -> np.random.Generator:
-        return self.open_key(derive_key(*parts))
 
     def open_key(self, key: int) -> np.random.Generator:
         # A 64-bit key fills the low word of Philox's two-word key.
@@ -115,9 +112,13 @@ def thread_substreams() -> Substreams:
         return _thread.streams
 
 
+@lru_cache(maxsize=64)
+def _index_mixes(count: int) -> tuple[int, ...]:
+    """``mix64(j)`` of a record's depth indices ``j < count``."""
+    return tuple(map(mix64, range(count)))
+
+
 def record_keys(seed: int, count: int) -> list[int]:
     """``[derive_key(seed, j) for j in range(count)]``, folding ``seed`` once."""
     head = mix64(_FOLD_INIT ^ mix64(seed & _MASK64))
-    mixes = thread_substreams()._index_mixes
-    mixes.extend(mix64(j) for j in range(len(mixes), count))
-    return [mix64(head ^ m) for m in mixes[:count]]
+    return [mix64(head ^ m) for m in _index_mixes(count)]

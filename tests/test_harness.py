@@ -473,6 +473,39 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"{mode} does not use {field}"):
             run(config)
 
+    @pytest.mark.parametrize("shots", [[0], [16.9], [True], [-4, 16]])
+    def test_bad_shot_counts_are_refused(self, shots):
+        config = ExperimentConfig(
+            mode="precision_curve", max_depth=2, amplitudes=[0.5], n_shot_list=shots
+        )
+        with pytest.raises(ValueError, match="n_shot_list"):
+            precision_curve(config)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("runs_per_point", True),
+            ("runs_per_point", 2.5),
+            ("base_seed", 1.5),
+            ("max_depth", 2.0),
+            ("k_index", True),
+            ("amplitudes", True),
+            ("amplitudes", 5.0),
+        ],
+    )
+    def test_integer_fields_refuse_bools_and_floats(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ExperimentConfig(mode="exceptional_region", **{field: value})
+
+    def test_integer_fields_take_numpy_integers(self):
+        common = {"mode": "exceptional_region", "epsilon": 1e-2, "max_depth": 2}
+        plain = {"amplitudes": 4, "runs_per_point": 3, "k_index": 1, "base_seed": 7}
+        numpy_ints = {k: np.int64(v) for k, v in plain.items()}
+        rows = exceptional_region_scan(ExperimentConfig(**common, **numpy_ints))
+        assert rows == exceptional_region_scan(ExperimentConfig(**common, **plain))
+        curve = {"mode": "precision_curve", "max_depth": 2, "amplitudes": [0.5]}
+        rows = precision_curve(ExperimentConfig(**curve, n_shot_list=[np.int64(8)]))
+        assert rows == precision_curve(ExperimentConfig(**curve, n_shot_list=[8]))
 
     def test_non_integer_thread_count_is_named(self, monkeypatch):
         monkeypatch.setenv("AMPLEST_THREADS", "two")

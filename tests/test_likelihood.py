@@ -1,7 +1,9 @@
+import gc
 import math
 import random
 import sys
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -14,6 +16,7 @@ from amplest.likelihood import (
     _MARGIN,
     _BlockGrid,
     _block_grid,
+    _sin2_ranges,
     depth_log_likelihood,
     grid_angles,
     grid_maximize,
@@ -283,7 +286,8 @@ def clip_and_log_bounds(grid: _BlockGrid, rec: MeasurementRecord) -> np.ndarray:
     clipped value, zero counts drop out, and depths are added in order.
     """
     hits, misses = count_columns(rec)
-    p = np.clip(hits / (hits + misses), grid.p_lo, grid.p_hi)
+    p_lo, p_hi = _sin2_ranges(grid.factors, grid.edges, grid.step)
+    p = np.clip(hits / (hits + misses), p_lo, p_hi)
     total = np.zeros(p.shape[1])
     with np.errstate(divide="ignore", invalid="ignore"):
         for j in range(p.shape[0]):
@@ -294,7 +298,9 @@ def clip_and_log_bounds(grid: _BlockGrid, rec: MeasurementRecord) -> np.ndarray:
 
 
 def cached_row_bytes(grid: _BlockGrid) -> int:
-    return sum(log_p.nbytes + log_q.nbytes for log_p, log_q in grid._rows.values())
+    """Bytes the row cache may hold: its blocks, each at the widest block's size."""
+    widest = int(np.diff(grid.edges).max()) + 1
+    return grid.rows.cache_info().currsize * 2 * 8 * grid.factors.size * widest
 
 
 @pytest.fixture
@@ -344,7 +350,8 @@ class TestCachedBoundsAndRows:
         # every grid has p_lo = 0 cells (theta = 0) and p_hi = 1 cells
         # (theta = pi/2); zero hits or misses drop terms over them
         grid = _BlockGrid(tuple(e.depth for e in rec.entries), grid_size)
-        assert (grid.p_lo == 0.0).any() and (grid.p_hi == 1.0).any()
+        p_lo, p_hi = _sin2_ranges(grid.factors, grid.edges, grid.step)
+        assert (p_lo == 0.0).any() and (p_hi == 1.0).any()
         expected = clip_and_log_bounds(grid, rec)
         assert np.array_equal(grid.bounds(*count_columns(rec)), expected)
 
@@ -352,12 +359,11 @@ class TestCachedBoundsAndRows:
     def test_any_order_and_budget_give_the_same_estimates(
         self, budget, monkeypatch, fresh_grids
     ):
-        # 3000 columns in blocks of 55 and a last one of 30 (the a = 1 run's)
+        # 3000 columns in blocks of 55 and a last one of 30 (the a = 1 run's);
+        # the cache holds as many blocks of 56 columns as fit in the budget
         recs, grid_size = spread_records(80, 21)
         in_order = [grid_maximize(rec, grid_size) for rec in recs]
-        _block_grid.cache_clear()
-        grid = _block_grid(tuple(e.depth for e in recs[0].entries), grid_size)
-        row_bytes = 2 * 8 * grid.factors.size
+        row_bytes = 2 * 8 * len(recs[0].entries)
         limit = {
             "default": likelihood._ROW_CACHE_BYTES,
             "one block": 56 * row_bytes,
@@ -365,21 +371,42 @@ class TestCachedBoundsAndRows:
             "none": 29 * row_bytes,
         }[budget]
         monkeypatch.setattr(likelihood, "_ROW_CACHE_BYTES", limit)
+        _block_grid.cache_clear()
+        grid = _block_grid(tuple(e.depth for e in recs[0].entries), grid_size)
         order = list(range(len(recs)))
         random.Random(5).shuffle(order)
         for i in order:
             assert grid_maximize(recs[i], grid_size) == in_order[i]
             assert cached_row_bytes(grid) <= limit
-            assert cached_row_bytes(grid) == grid._row_bytes
-        held = list(grid._rows)
-        last = len(grid.edges) - 2
+        held = grid.rows.cache_info().currsize
         assert {
-            "default": len(held) > 1,
-            "one block": len(held) == 1,
-            # a larger block is computed, not cached, and evicts nothing
-            "last block": held == [last],
-            "none": held == [],
+            "default": held > 1,
+            "one block": held == 1,
+            # below the widest block's size nothing is cached
+            "last block": held == 0,
+            "none": held == 0,
         }[budget]
+
+    @pytest.mark.parametrize(
+        "max_depth, epsilon, jittered, multiplier, blocks",
+        [
+            (16, 1e-3, False, 3.0, "all"),
+            (16, 1e-3, True, 3.0, "all"),
+            (50, 1e-4, True, 30.0, 2),
+        ],
+    )
+    def test_benchmark_grids_keep_their_hot_blocks(
+        self, max_depth, epsilon, jittered, multiplier, blocks
+    ):
+        # sweep and curve runs at d=16 (G = 3000) revisit every block; a
+        # d=50 region scan (G = 300000) revisits the two around its band
+        plan = make_plan(
+            epsilon, 0.01, max_depth, jittered=jittered, grid_multiplier=multiplier
+        )
+        rec = draw_record(0.3, plan.schedule, plan.n_shot, 1)
+        grid = _BlockGrid(tuple(e.depth for e in rec.entries), plan.grid_size)
+        wanted = len(grid.edges) - 1 if blocks == "all" else blocks
+        assert grid.rows.cache_info().maxsize >= wanted
 
     def test_cached_rows_take_no_sin_or_log(self, monkeypatch, fresh_grids):
         calls = []
@@ -402,19 +429,33 @@ class TestCachedBoundsAndRows:
         rec = record((0, 10, 4), (2, 10, 7))
         grid_maximize(rec, 101)
         grid = _block_grid((0, 2), 101)
-        log_p, _ = next(iter(grid._rows.values()))
-        with pytest.raises(ValueError):
-            log_p[0, 0] = 0.0
+        assert grid.rows.cache_info().currsize >= 1
+        for block in range(len(grid.edges) - 1):
+            for row in grid.rows(block):
+                with pytest.raises(ValueError):
+                    row[0, 0] = 0.0
+
+    def test_dropped_grid_is_freed_without_the_gc(self):
+        # the row cache refers to the grid's arrays, not to the grid
+        grid = _BlockGrid((0, 1, 2), 101)
+        grid.evaluate(0, *count_columns(record((0, 10, 4), (1, 10, 7), (2, 10, 1))))
+        ref = weakref.ref(grid)
+        gc.disable()
+        try:
+            del grid
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_threads_share_one_grid(self, monkeypatch, fresh_grids):
         # more threads than cores on one grid whose cache holds one block,
         # so that threads evict each other's rows between calls
         recs, grid_size = spread_records(96, 33)
         serial = [grid_maximize(rec, grid_size) for rec in recs]
+        budget = 56 * 2 * 8 * len(recs[0].entries)  # 56 columns of ln p, ln(1 - p)
+        monkeypatch.setattr(likelihood, "_ROW_CACHE_BYTES", budget)
         _block_grid.cache_clear()
         grid = _block_grid(tuple(e.depth for e in recs[0].entries), grid_size)
-        budget = 56 * 2 * 8 * grid.factors.size  # 56 columns of ln p, ln(1 - p)
-        monkeypatch.setattr(likelihood, "_ROW_CACHE_BYTES", budget)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -426,7 +467,8 @@ class TestCachedBoundsAndRows:
         finally:
             sys.setswitchinterval(interval)
         assert threaded == serial * 4
-        assert cached_row_bytes(grid) == grid._row_bytes <= budget
+        assert grid.rows.cache_info().currsize == 1
+        assert cached_row_bytes(grid) <= budget
 
 
 class TestRunMlqae:
