@@ -41,6 +41,8 @@ from dataclasses import dataclass
 from numbers import Number
 from typing import Iterable, NoReturn, Sequence
 
+import numpy as np
+
 from ._util import ceil_guarded, json_int
 from .likelihood import grid_maximize
 from .planner import (
@@ -83,7 +85,10 @@ CSV_COLUMNS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Inputs of one harness invocation; integer fields refuse bools and floats."""
+    """Inputs of one harness invocation; integer fields refuse bools and floats.
+
+    ``jittered`` must be a bool and a list of ``amplitudes`` must not be empty.
+    """
 
     mode: str
     epsilon: float = 1e-3
@@ -110,8 +115,13 @@ class ExperimentConfig:
                 self._set_int(field)
         if self.runs_per_point < 1:
             raise ValueError("runs_per_point must be at least 1")
+        if not isinstance(self.jittered, (bool, np.bool_)):
+            raise ValueError(f"jittered must be a bool, got {self.jittered!r}")
+        object.__setattr__(self, "jittered", bool(self.jittered))
         if isinstance(self.amplitudes, Number):
             self._set_int("amplitudes")
+        elif len(self.amplitudes) == 0:
+            raise ValueError("amplitudes must list at least one amplitude")
         elif any(not 0 <= a <= 1 for a in self.amplitudes):
             raise ValueError("amplitudes must lie in [0, 1]")
 
@@ -307,7 +317,9 @@ def _run(config: ExperimentConfig, mode: str) -> list[dict]:
     ):
         if ignored:
             raise ValueError(f"{mode} does not use {field}; leave it unset")
-    if mode == "precision_curve" and not config.n_shot_list:
+    if mode == "precision_curve" and (
+        not isinstance(config.n_shot_list, Iterable) or not config.n_shot_list
+    ):
         raise ValueError("precision_curve needs a non-empty n_shot_list")
     plan = make_plan(
         config.epsilon,

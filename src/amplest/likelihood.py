@@ -41,7 +41,7 @@ results do not depend on batching, block layout or thread count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 
 import numpy as np
@@ -83,13 +83,7 @@ class Estimate:
     grid_size: int
 
     def to_dict(self) -> dict:
-        return {
-            "theta_hat": self.theta_hat,
-            "a_hat": self.a_hat,
-            "grid_index": self.grid_index,
-            "log_likelihood": self.log_likelihood,
-            "grid_size": self.grid_size,
-        }
+        return asdict(self)
 
 
 def depth_log_likelihood(theta: float, depth: int, shots: int, hits: int) -> float:

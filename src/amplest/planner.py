@@ -12,7 +12,7 @@ thread-safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from ._util import ceil_guarded
@@ -181,16 +181,10 @@ class Plan:
     grid_multiplier: float = 3.0
 
     def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "max_depth": self.max_depth,
-            "schedule": self.schedule.to_dict(),
-            "n_shot": self.n_shot,
-            "n_calls": self.n_calls,
-            "grid_size": self.grid_size,
-            "grid_multiplier": self.grid_multiplier,
-        }
+        """The fields in declaration order, the schedule as its own mapping."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["schedule"] = self.schedule.to_dict()
+        return out
 
 
 def make_plan(

@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import groupby
+from numbers import Real
 from typing import Iterable
 
 from ._util import ceil_guarded, json_int
@@ -54,7 +56,8 @@ class Schedule:
     checked without drift; they are 1 everywhere for unjittered kinds.
     ``nu`` is the geometric base of an ``exp_nu`` schedule, ``spread_coeff``
     the jitter coefficient, and ``beta`` the polynomial depth-exponent
-    parameter; each is present only where it applies.
+    parameter; each is present only where it applies, and then a finite
+    positive real number.
     """
 
     depths: tuple[int, ...]
@@ -67,6 +70,13 @@ class Schedule:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
+        for field in ("nu", "spread_coeff", "beta"):
+            value = getattr(self, field)
+            real = isinstance(value, Real) and not isinstance(value, bool)
+            if value is not None and not (real and 0 < value < math.inf):
+                raise ValueError(
+                    f"{field} must be a finite positive number, got {value!r}"
+                )
         if not self.depths:
             raise ValueError("schedule must contain at least one depth")
         if len(self.depths) != len(self.fractions):
@@ -92,21 +102,19 @@ class Schedule:
                 )
 
     def _groups(self) -> Iterable[tuple[int, int]]:
-        """Index ranges [lo, hi) of contiguous fractional jitter groups."""
-        i, n = 0, len(self.depths)
-        while i < n:
-            if self.fractions[i] == 1:
-                i += 1
-                continue
-            j = i + 1
-            while (
-                j < n
-                and self.fractions[j] == self.fractions[i]
-                and self.depths[j] == self.depths[j - 1] + 1
-            ):
-                j += 1
-            yield i, j
-            i = j
+        """Index ranges [lo, hi) of contiguous fractional jitter groups.
+
+        Depth and index both step by one along a band, so the key
+        ``(fraction, depth - index)`` holds still there and changes exactly
+        where a band ends: at a new fraction, a skipped or a repeated depth.
+        """
+        bands = groupby(
+            range(len(self.depths)), lambda i: (self.fractions[i], self.depths[i] - i)
+        )
+        for (fraction, _), group in bands:
+            if fraction != 1:
+                members = list(group)
+                yield members[0], members[-1] + 1
 
     @property
     def max_depth(self) -> int:
@@ -216,17 +224,14 @@ def polynomial_schedule(beta: float, epsilon: float) -> Schedule:
 def jitter(schedule: Schedule, spread_coeff: float) -> Schedule:
     """Spread each depth's shots over a logarithmic-width band of nearby depths.
 
-    Walks the schedule from the largest depth down. A depth d with spread
-    w = round(ln(spread_coeff * d)) is replaced by the band of depths
-
-    * [d - w, d]                for the maximum depth (never exceed it),
-    * [d - w, d + w]            for interior depths,
-    * [max(0, d - w), d + w]    for a nonzero minimum depth,
-
-    but only when the band keeps a gap of at least one depth to both the
-    next-smaller original depth and the bands already placed above; larger
-    depths win these conflicts. Depth 0 is never spread. Each band's shot
-    fractions are equal and sum to 1.
+    Walks the schedule from the largest depth down. Depth d at position i
+    has width w = max(0, round(ln(spread_coeff * d))), or 0 for d = 0, and
+    the band [max(0, d - w), upper] with upper = d at the maximum depth
+    (never exceed it) and d + w below it. The band replaces d when it keeps
+    a gap of at least one depth below, to the next-smaller original depth
+    (none below the first), and above, to the lowest depth already placed
+    (none above the last); otherwise d stays alone. Larger depths thus win
+    conflicts. Every band's shot fractions are 1 / len(band), summing to 1.
     """
     if not 0.0 < spread_coeff < math.inf:
         raise ValueError(
@@ -238,33 +243,21 @@ def jitter(schedule: Schedule, spread_coeff: float) -> Schedule:
     if any(b <= a for a, b in zip(depths, depths[1:])):
         raise ValueError("jitter needs strictly ascending depths")
 
+    last = len(depths) - 1
     out_depths: list[int] = []  # built descending, reversed at the end
     out_fractions: list[Fraction] = []
-    for i in range(len(depths) - 1, -1, -1):
+    for i in range(last, -1, -1):
         d = depths[i]
-        lower = upper = d
-        do_jitter = False
-        if d > 0:
-            # spread_coeff * d < 1 would give a negative width and an empty
-            # band that swallows the depth; clamp to a width-zero band instead
-            w = max(0, round_half_away(math.log(spread_coeff * d)))
-            if d == depths[-1]:
-                lower, upper = d - w, d
-                do_jitter = lower > depths[i - 1] + 1
-            elif d > depths[0]:
-                lower, upper = d - w, d + w
-                do_jitter = lower > depths[i - 1] + 1 and upper < out_depths[-1] - 1
-            else:  # nonzero minimum depth
-                lower, upper = max(0, d - w), d + w
-                do_jitter = upper < out_depths[-1] - 1
-        if do_jitter:
-            share = Fraction(1, upper - lower + 1)
-            for jittered_depth in range(upper, lower - 1, -1):
-                out_depths.append(jittered_depth)
-                out_fractions.append(share)
-        else:
-            out_depths.append(d)
-            out_fractions.append(Fraction(1))
+        # spread_coeff * d < 1 would give a negative width and an empty band
+        # that swallows the depth; clamp to a width-zero band instead
+        w = max(0, round_half_away(math.log(spread_coeff * d))) if d > 0 else 0
+        lower, upper = max(0, d - w), d if i == last else d + w
+        fits = (i == 0 or lower > depths[i - 1] + 1) and (
+            i == last or upper < out_depths[-1] - 1
+        )
+        band = range(upper, lower - 1, -1) if fits else (d,)
+        out_depths.extend(band)
+        out_fractions.extend([Fraction(1, len(band))] * len(band))
     return Schedule(
         tuple(reversed(out_depths)),
         tuple(reversed(out_fractions)),

@@ -473,7 +473,7 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"{mode} does not use {field}"):
             run(config)
 
-    @pytest.mark.parametrize("shots", [[0], [16.9], [True], [-4, 16]])
+    @pytest.mark.parametrize("shots", [[0], [16.9], [True], [-4, 16], 8])
     def test_bad_shot_counts_are_refused(self, shots):
         config = ExperimentConfig(
             mode="precision_curve", max_depth=2, amplitudes=[0.5], n_shot_list=shots
@@ -496,6 +496,10 @@ class TestConfigValidation:
     def test_integer_fields_refuse_bools_and_floats(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             ExperimentConfig(mode="exceptional_region", **{field: value})
+
+    def test_numpy_bool_jitter_is_stored_as_bool(self):
+        config = ExperimentConfig(mode="sweep", jittered=np.bool_(True))
+        assert config.jittered is True
 
     def test_integer_fields_take_numpy_integers(self):
         common = {"mode": "exceptional_region", "epsilon": 1e-2, "max_depth": 2}
@@ -524,3 +528,8 @@ class TestConfigValidation:
             ExperimentConfig(mode="sweep", runs_per_point=0)
         with pytest.raises(ValueError):
             ExperimentConfig(mode="sweep", amplitudes=[0.5, 1.2])
+        with pytest.raises(ValueError, match="amplitudes must list at least one"):
+            ExperimentConfig(mode="sweep", amplitudes=[])
+        for value in ("no", 1, None):
+            with pytest.raises(ValueError, match="jittered must be a bool"):
+                ExperimentConfig(mode="sweep", jittered=value)

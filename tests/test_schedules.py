@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -126,6 +127,34 @@ class TestJitter:
         with pytest.raises(ValueError):
             jitter(make([1, 1, 2], kind="poly"), 2.0)
 
+    def test_output_pinned(self):
+        """SHA-256 of the jittered (depths, fractions) over a fixed corpus.
+
+        Fitted schedules for d = 1..1024 at six spread coefficients, plus
+        custom schedules: a nonzero minimum depth (one band clamped at 0),
+        widths clamped to 0, and neighbouring bands in conflict.
+        """
+        cases = [
+            (exponential_schedule_to_depth(d), c)
+            for d in range(1, 1025)
+            for c in (0.5, 1.0, 2.0, math.e, 3.0, 10.0)
+        ] + [
+            (make([5, 20, 60]), 2.0),
+            (make([1, 30]), 20.0),
+            (make([1, 2, 9]), 0.5),
+            (make([1, 3, 30]), 0.3),
+            (make([10, 13, 16, 30]), 2.0),
+            (make([20, 29]), 2.0),
+            (make([5, 20, 28, 60]), 2.0),
+        ]
+        digest = hashlib.sha256()
+        for source, c in cases:
+            j = jitter(source, c)
+            fractions = [(f.numerator, f.denominator) for f in j.fractions]
+            digest.update(repr((j.depths, fractions)).encode())
+        expected = "ea2c8b5c8f29e70f4ab8ea8376ab2759bf14692827ae979b5037d434a30823d4"
+        assert digest.hexdigest() == expected
+
     @pytest.mark.parametrize("d", [4, 10, 16, 33, 50, 100, 257, 600, 1024])
     @pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 3.0])
     def test_structure_invariants(self, d, c):
@@ -246,7 +275,7 @@ class TestScheduleValidation:
             Schedule((0, 1), (ONE, Fraction(0)), kind="custom")
 
     def test_group_sum_must_be_one(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="jitter group 3..4"):
             Schedule(
                 (0, 3, 4),
                 (ONE, Fraction(1, 3), Fraction(1, 3)),
@@ -306,4 +335,13 @@ class TestSerialization:
         data = exponential_schedule(4).to_dict()
         data[field][index] = value
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            Schedule.from_dict(data)
+
+    @pytest.mark.parametrize("field", ["nu", "spread_coeff", "beta"])
+    @pytest.mark.parametrize(
+        "value", ["abc", "2.0", True, math.nan, math.inf, 0.0, -1.5, [2.0]]
+    )
+    def test_parameter_must_be_finite_positive_number(self, field, value):
+        data = {**exponential_schedule(4).to_dict(), field: value}
+        with pytest.raises(ValueError, match=f"{field} must be a finite positive"):
             Schedule.from_dict(data)
