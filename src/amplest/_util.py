@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from numbers import Integral
+from numbers import Integral, Real
 
 
 def ceil_guarded(x: float) -> int:
@@ -24,3 +24,11 @@ def json_int(value: object, field: str) -> int:
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise ValueError(f"{field} must be an integer, got {value!r}")
     return int(value)
+
+
+def positive_real(value: object, field: str) -> float:
+    """``value`` as a float; bools, non-reals, NaN, +-inf and values <= 0 raise."""
+    real = isinstance(value, Real) and not isinstance(value, bool)
+    if not (real and 0 < value < math.inf):
+        raise ValueError(f"{field} must be a finite positive number, got {value!r}")
+    return float(value)

@@ -9,9 +9,6 @@ quantile of absolute error; its points run over (amplitude, shots) pairs in
 row-major order. An ``exceptional_region`` scan is a precision curve at the
 planned shots over the +-4 epsilon band around one exceptional value; the
 band must lie inside [0, 1]. Rows are projected onto ``CSV_COLUMNS[mode]``.
-A config field the mode does not use is refused, not ignored: a sweep's
-``runs_per_point`` other than 1, and ``n_shot_list`` or ``k_index`` outside
-the precision curve or the region scan.
 
 Points run in forked worker processes (:func:`_map_points`). With ``w``
 workers, child ``k`` inherits the job through ``os.fork`` and computes
@@ -22,12 +19,14 @@ message; a worker that dies without a result raises ``RuntimeError``. One
 worker, fewer than four points, or a platform without ``os.fork`` runs the
 points serially in the calling process.
 
-Reproducibility contract (see README): run ``r`` of point ``i`` uses the
-seed ``derive_key(base_seed, MODE_TAGS[mode], i, r)`` and floats are written
-with 17 significant digits. ``AMPLEST_THREADS`` caps the forked worker
-processes (default: the cores this process may run on); every run derives
-its own seed and rows come back in point order, so files are byte-identical
-at any worker count.
+Input is judged once: a bad field is refused, by name, when its
+:class:`ExperimentConfig` is built, and an experiment refuses only another
+mode's config. Reproducibility contract (see README): run ``r`` of point
+``i`` uses the seed ``derive_key(base_seed, MODE_TAGS[mode], i, r)`` and
+floats are written with 17 significant digits. ``AMPLEST_THREADS`` caps the
+forked worker processes (default: the cores this process may run on); every
+run derives its own seed and rows come back in point order, so files are
+byte-identical at any worker count.
 """
 
 from __future__ import annotations
@@ -37,13 +36,13 @@ import math
 import os
 import pickle
 import signal
-from dataclasses import dataclass
-from numbers import Number
+from dataclasses import dataclass, field
+from numbers import Number, Real
 from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
 
-from ._util import ceil_guarded, json_int
+from ._util import ceil_guarded, json_int, positive_real
 from .likelihood import grid_maximize
 from .planner import (
     erfinv,
@@ -85,9 +84,21 @@ CSV_COLUMNS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Inputs of one harness invocation; integer fields refuse bools and floats.
+    """Inputs of one harness invocation; a bad field is refused here, by name.
 
-    ``jittered`` must be a bool and a list of ``amplitudes`` must not be empty.
+    In every mode ``epsilon`` (< 0.5), ``delta`` (< 1), ``spread_coeff`` and
+    ``grid_multiplier`` are finite positive numbers, kept as floats; integer
+    fields refuse bools and floats; ``jittered`` is a bool; ``max_depth`` is
+    >= 0, or >= 1 when jittered; ``amplitudes`` is a count >= 2 or a non-empty
+    list of numbers in [0, 1], resolved once into ``points``; a ``k_index``
+    must name an exceptional value even where a list leaves it unused.
+    Per mode:
+
+    * ``sweep``: ``runs_per_point`` is 1; no ``n_shot_list`` or ``k_index``.
+    * ``precision_curve``: a non-empty ``n_shot_list`` of integers >= 1, kept
+      as a tuple; no ``k_index``.
+    * ``exceptional_region``: no ``n_shot_list``; a count of amplitudes needs
+      a ``k_index`` whose band lies inside [0, 1].
     """
 
     mode: str
@@ -102,32 +113,48 @@ class ExperimentConfig:
     n_shot_list: Sequence[int] | None = None
     k_index: int | None = None
     base_seed: int = 0
+    points: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.mode not in ("sweep", "precision_curve", "exceptional_region"):
-            raise ValueError(f"unknown experiment mode {self.mode!r}")
-        if not 0 < self.epsilon < 0.5:
+        mode = self.mode
+        if mode not in ("sweep", "precision_curve", "exceptional_region"):
+            raise ValueError(f"unknown experiment mode {mode!r}")
+        for name in ("epsilon", "delta", "spread_coeff", "grid_multiplier"):
+            object.__setattr__(self, name, positive_real(getattr(self, name), name))
+        if not self.epsilon < 0.5:
             raise ValueError("epsilon must lie in (0, 0.5)")
-        if not 0 < self.delta < 1:
+        if not self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
-        for field in ("max_depth", "runs_per_point", "base_seed", "k_index"):
-            if getattr(self, field) is not None:
-                self._set_int(field)
+        ints = ["max_depth", "runs_per_point", "base_seed"]
+        if self.k_index is not None:
+            ints.append("k_index")
+        if isinstance(self.amplitudes, Number):
+            ints.append("amplitudes")
+        for name in ints:  # stored as ints: ``derive_key`` takes no numpy integer
+            object.__setattr__(self, name, json_int(getattr(self, name), name))
         if self.runs_per_point < 1:
             raise ValueError("runs_per_point must be at least 1")
         if not isinstance(self.jittered, (bool, np.bool_)):
             raise ValueError(f"jittered must be a bool, got {self.jittered!r}")
         object.__setattr__(self, "jittered", bool(self.jittered))
-        if isinstance(self.amplitudes, Number):
-            self._set_int("amplitudes")
-        elif len(self.amplitudes) == 0:
-            raise ValueError("amplitudes must list at least one amplitude")
-        elif any(not 0 <= a <= 1 for a in self.amplitudes):
-            raise ValueError("amplitudes must lie in [0, 1]")
-
-    def _set_int(self, field: str) -> None:
-        """Keep ``field`` as an int (``derive_key`` takes no numpy integer)."""
-        object.__setattr__(self, field, json_int(getattr(self, field), field))
+        if self.max_depth < (1 if self.jittered else 0):
+            raise ValueError("max_depth must be at least 0, and 1 when jittered")
+        for name, unused in (
+            ("runs_per_point", mode == "sweep" and self.runs_per_point != 1),
+            ("n_shot_list", mode != "precision_curve" and self.n_shot_list is not None),
+            ("k_index", mode != "exceptional_region" and self.k_index is not None),
+        ):
+            if unused:
+                raise ValueError(f"{mode} does not use {name}; leave it unset")
+        if mode == "precision_curve":
+            shots = self.n_shot_list if isinstance(self.n_shot_list, Iterable) else ()
+            shots = tuple(json_int(n, "n_shot_list") for n in shots)
+            if not shots:
+                raise ValueError("precision_curve needs a non-empty n_shot_list")
+            if min(shots) < 1:
+                raise ValueError(f"n_shot_list entries must be at least 1: {shots}")
+            object.__setattr__(self, "n_shot_list", shots)
+        object.__setattr__(self, "points", tuple(_amplitudes(self)))
 
 
 def achieved_precision(errors: Sequence[float], delta: float) -> float:
@@ -151,20 +178,25 @@ def _precision_from_shots(n_shot: int, delta: float, schedule: Schedule) -> floa
 
 
 def _amplitudes(config: ExperimentConfig) -> list[float]:
-    """The configured amplitudes; a count spans [0, 1] or the exceptional band.
-
-    A ``k_index`` must name an exceptional value even where a list of
-    amplitudes leaves it unused.
-    """
+    """The configured amplitudes; a count spans [0, 1] or the exceptional band."""
     centers = exceptional_values(config.max_depth)
     needs_k = f"exceptional_region needs k_index in [0, {len(centers) - 1}]"
     if config.k_index is not None and not 0 <= config.k_index < len(centers):
         raise ValueError(needs_k)
     if not isinstance(config.amplitudes, int):
-        return [float(a) for a in config.amplitudes]
+        values = config.amplitudes
+        if isinstance(values, str) or not isinstance(values, Iterable):
+            raise ValueError(f"amplitudes must be a count or a list, got {values!r}")
+        values = list(values)
+        if not values:
+            raise ValueError("amplitudes must list at least one amplitude")
+        for a in values:
+            if isinstance(a, bool) or not (isinstance(a, Real) and 0 <= a <= 1):
+                raise ValueError(f"amplitudes must lie in [0, 1], got {a!r}")
+        return [float(a) for a in values]
     count = config.amplitudes
     if count < 2:
-        raise ValueError("an amplitude count must be at least 2")
+        raise ValueError(f"amplitudes must count at least 2 points, got {count}")
     if config.mode != "exceptional_region":
         return [i / (count - 1) for i in range(count)]
     if config.k_index is None:
@@ -240,7 +272,8 @@ def _map_points(
     interleaves the shares back into point order and re-raises a worker's
     exception with its type and message; its traceback stays in the worker,
     and ``AMPLEST_THREADS=1`` reproduces it in this process. A worker that
-    exits without a result raises :class:`RuntimeError`.
+    exits without a result raises :class:`RuntimeError` naming the worker's
+    index and exit code.
 
     The points run serially, in this process, with one worker, below four
     points, or where ``os.fork`` does not exist.
@@ -274,13 +307,11 @@ def _map_points(
     for k, (payload, status) in enumerate(zip(payloads, statuses)):
         code = os.waitstatus_to_exitcode(status)
         if code != 0 or not payload:
-            # the exception type callers know; its module costs ~30 ms to import
-            from concurrent.futures.process import BrokenProcessPool
-
             raise RuntimeError(
-                f"{mode}: a worker process died while running {len(points)} points "
-                f"on {workers} workers; AMPLEST_THREADS=1 runs the job serially"
-            ) from BrokenProcessPool(f"worker {k} exited with code {code}")
+                f"{mode}: worker {k} exited with code {code} while running "
+                f"{len(points)} points on {workers} workers; AMPLEST_THREADS=1 "
+                "runs the job serially"
+            )
         kind, value = pickle.loads(payload)
         if kind == "error":
             raise value
@@ -310,17 +341,6 @@ def _run(config: ExperimentConfig, mode: str) -> list[dict]:
     """Run experiment ``mode`` (see the module docstring); config.mode must match."""
     if config.mode != mode:
         raise ValueError(f"config.mode is {config.mode!r}, expected {mode!r}")
-    for field, ignored in (
-        ("runs_per_point", mode == "sweep" and config.runs_per_point != 1),
-        ("n_shot_list", mode != "precision_curve" and config.n_shot_list is not None),
-        ("k_index", mode != "exceptional_region" and config.k_index is not None),
-    ):
-        if ignored:
-            raise ValueError(f"{mode} does not use {field}; leave it unset")
-    if mode == "precision_curve" and (
-        not isinstance(config.n_shot_list, Iterable) or not config.n_shot_list
-    ):
-        raise ValueError("precision_curve needs a non-empty n_shot_list")
     plan = make_plan(
         config.epsilon,
         config.delta,
@@ -331,14 +351,12 @@ def _run(config: ExperimentConfig, mode: str) -> list[dict]:
     )
     grid_size = plan.grid_size
     if mode == "precision_curve":
-        shot_list = [json_int(n, "n_shot_list") for n in config.n_shot_list]
-        if min(shot_list) < 1:
-            raise ValueError(f"n_shot_list entries must be at least 1: {shot_list}")
+        shot_list = config.n_shot_list
         eps_min = _precision_from_shots(max(shot_list), config.delta, plan.schedule)
         grid_size = grid_points(config.grid_multiplier, eps_min)
     else:
         shot_list = [required_shots(config.epsilon, config.delta, plan.schedule)]
-    points = [(a, n) for a in _amplitudes(config) for n in shot_list]
+    points = [(a, n) for a in config.points for n in shot_list]
     runs = config.runs_per_point
     job = _Job(plan.schedule, grid_size, runs, config.base_seed, MODE_TAGS[mode])
     rows = []

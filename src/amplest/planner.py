@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from ._util import ceil_guarded
+from ._util import ceil_guarded, positive_real
 from .schedules import (
     Schedule,
     call_weight,
@@ -75,8 +75,7 @@ def erfinv(y: float) -> float:
 
 def required_fisher_info(epsilon: float, delta: float) -> float:
     """Fisher information needed for |estimate - a| <= epsilon w.p. 1 - delta."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    positive_real(epsilon, "epsilon")
     _check_delta(delta)
     z = erfinv(1.0 - delta)
     return 2.0 * z * z / (epsilon * epsilon)
@@ -160,10 +159,7 @@ def single_shot_fisher_info(a: float, depth: int) -> float:
 
 def grid_points(multiplier: float, epsilon: float) -> int:
     """Angle-grid size for precision ``epsilon``: ceil(multiplier / epsilon), >= 2."""
-    if not 0.0 < multiplier < math.inf:
-        raise ValueError(
-            f"grid_multiplier must be finite and positive, got {multiplier}"
-        )
+    multiplier = positive_real(multiplier, "grid_multiplier")
     return max(2, ceil_guarded(multiplier / epsilon))
 
 

@@ -20,10 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
-from numbers import Real
 from typing import Iterable
 
-from ._util import ceil_guarded, json_int
+from ._util import ceil_guarded, json_int, positive_real
 
 __all__ = [
     "Schedule",
@@ -71,12 +70,8 @@ class Schedule:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         for field in ("nu", "spread_coeff", "beta"):
-            value = getattr(self, field)
-            real = isinstance(value, Real) and not isinstance(value, bool)
-            if value is not None and not (real and 0 < value < math.inf):
-                raise ValueError(
-                    f"{field} must be a finite positive number, got {value!r}"
-                )
+            if getattr(self, field) is not None:
+                positive_real(getattr(self, field), field)
         if not self.depths:
             raise ValueError("schedule must contain at least one depth")
         if len(self.depths) != len(self.fractions):
@@ -233,10 +228,7 @@ def jitter(schedule: Schedule, spread_coeff: float) -> Schedule:
     (none above the last); otherwise d stays alone. Larger depths thus win
     conflicts. Every band's shot fractions are 1 / len(band), summing to 1.
     """
-    if not 0.0 < spread_coeff < math.inf:
-        raise ValueError(
-            f"spread_coeff must be finite and positive, got {spread_coeff}"
-        )
+    spread_coeff = positive_real(spread_coeff, "spread_coeff")
     depths = schedule.depths
     if len(depths) < 2:
         raise ValueError("jitter needs a schedule with at least 2 depths")
@@ -263,7 +255,7 @@ def jitter(schedule: Schedule, spread_coeff: float) -> Schedule:
         tuple(reversed(out_fractions)),
         kind="jittered",
         nu=schedule.nu,
-        spread_coeff=float(spread_coeff),
+        spread_coeff=spread_coeff,
         beta=schedule.beta,
     )
 

@@ -134,6 +134,25 @@ class TestSubprocessEntryPoints:
         assert lines[0] == "a_true,a_hat,abs_err,seed"
         assert len(lines) == 12
 
+    def test_bad_spread_coeff_is_refused_before_any_output(self, tmp_path):
+        # an unjittered sweep never reads spread_coeff, yet -5 is refused
+        out = tmp_path / "sweep.csv"
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "amplest", "sweep",
+                "--max-depth", "2",
+                "--epsilon", "0.01",
+                "--points", "3",
+                "--spread-coeff", "-5",
+                "--out", str(out),
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode != 0
+        assert "spread_coeff" in result.stderr
+        assert not out.exists()
+
     def test_precision_curve_roundtrip(self, tmp_path):
         out = tmp_path / "curve.csv"
         subprocess.run(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import signal
@@ -7,6 +8,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import amplest.harness as harness
 from amplest.harness import (
@@ -111,9 +114,8 @@ class TestPrecisionCurve:
         assert all(r["runs"] == 120 for r in rows)
 
     def test_requires_shot_list(self):
-        config = ExperimentConfig(mode="precision_curve", amplitudes=[0.5])
         with pytest.raises(ValueError):
-            precision_curve(config)
+            ExperimentConfig(mode="precision_curve", amplitudes=[0.5])
 
 
 class TestExceptionalRegion:
@@ -138,31 +140,29 @@ class TestExceptionalRegion:
     def test_band_leaving_unit_interval_is_refused(self, max_depth, k_index):
         # k=0 centres the band on 0, k=2d+1 on 1, and k=1 of d=16 on
         # 0.0023 < 4 epsilon; a clamped band would write duplicate a_true rows
-        config = ExperimentConfig(
-            mode="exceptional_region",
-            epsilon=1e-3,
-            max_depth=max_depth,
-            amplitudes=5,
-            k_index=k_index,
-        )
         band = r"band \[.*\] leaves \[0, 1\]"
         with pytest.raises(ValueError, match=f"k_index {k_index}: {band}"):
-            exceptional_region_scan(config)
+            ExperimentConfig(
+                mode="exceptional_region",
+                epsilon=1e-3,
+                max_depth=max_depth,
+                amplitudes=5,
+                k_index=k_index,
+            )
 
     @pytest.mark.parametrize("amplitudes", [[0.3, 0.4], 5])
     @pytest.mark.parametrize("k_index", [-1, 34, 999])
     def test_k_index_out_of_range_is_refused(self, amplitudes, k_index):
         # a list of amplitudes leaves k_index unused, but a wrong one still
         # names no exceptional value of the d=16 schedule (k in [0, 33])
-        config = ExperimentConfig(
-            mode="exceptional_region",
-            epsilon=1e-3,
-            max_depth=16,
-            amplitudes=amplitudes,
-            k_index=k_index,
-        )
         with pytest.raises(ValueError, match=r"needs k_index in \[0, 33\]"):
-            exceptional_region_scan(config)
+            ExperimentConfig(
+                mode="exceptional_region",
+                epsilon=1e-3,
+                max_depth=16,
+                amplitudes=amplitudes,
+                k_index=k_index,
+            )
 
     def test_depth50_structure(self):
         # the band around one exceptional value of a depth-50 schedule:
@@ -317,7 +317,7 @@ class TestWorkerPool:
         message = str(info.value)
         assert "sweep" in message and "8 points" in message
         assert "2 workers" in message and "AMPLEST_THREADS=1" in message
-        assert type(info.value.__cause__).__name__ == "BrokenProcessPool"
+        assert "worker 0 exited with code 3" in message
 
     def test_cli_import_leaves_the_pool_module_out(self):
         code = (
@@ -437,7 +437,105 @@ class TestGridPoints:
         assert grid_points(0.1, 0.4) == 2
 
 
+_EXPERIMENTS = {
+    "sweep": sweep_amplitudes,
+    "precision_curve": precision_curve,
+    "exceptional_region": exceptional_region_scan,
+}
+_FIELDS = [f.name for f in dataclasses.fields(ExperimentConfig) if f.init]
+# a tiny valid config per mode: max_depth <= 4, epsilon >= 0.05, <= 2 runs
+_TINY = {
+    "sweep": {"max_depth": 2, "epsilon": 0.05, "amplitudes": 3},
+    "precision_curve": {
+        "max_depth": 2,
+        "epsilon": 0.05,
+        "amplitudes": [0.3],
+        "n_shot_list": [8, 16],
+        "runs_per_point": 2,
+    },
+    "exceptional_region": {
+        "max_depth": 2,
+        "epsilon": 0.05,
+        "amplitudes": 3,
+        "k_index": 2,
+        "runs_per_point": 2,
+    },
+}
+# values each field may be overridden with, good and bad for some mode
+_OVERRIDES = {
+    "mode": ["sweep", "precision_curve", "exceptional_region", "nope"],
+    "epsilon": [0.05, 0.2, 0.49, 0, 0.5, -0.1, "0.1", True, math.nan],
+    "delta": [0.01, 0.5, 0, 1, "0.1", math.inf],
+    "max_depth": [0, 1, 4, -1, 2.0, True],
+    "jittered": [False, True, 1, "yes"],
+    "spread_coeff": [0.5, 2, -5, 0, "x", True, math.nan, math.inf],
+    "grid_multiplier": [0.1, 30, -1, True, "3", math.inf],
+    "amplitudes": [2, [0.0, 1.0], 0, 1, 2.0, True, "0.3", [True], ["0.3"], [1.2], []],
+    "runs_per_point": [1, 2, 0, True, 1.5],
+    "n_shot_list": [[1], [4, 16], None, [], [0], [True], 8, "8"],
+    "k_index": [None, 0, 1, 4, 9, -1, 99, True],
+    "base_seed": [7, -3, 1.5, None],
+}
+
+
 class TestConfigValidation:
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        st.sampled_from(sorted(_TINY)),
+        st.dictionaries(
+            st.sampled_from(sorted(_OVERRIDES)), st.integers(0, 10), max_size=3
+        ),
+    )
+    def test_construction_is_the_only_refusal(self, monkeypatch, mode, picks):
+        # a config either fails to construct, naming a field, or runs
+        monkeypatch.setenv("AMPLEST_THREADS", "1")
+        fields = {"mode": mode, **_TINY[mode]}
+        for name, pick in picks.items():
+            fields[name] = _OVERRIDES[name][pick % len(_OVERRIDES[name])]
+        try:
+            config = ExperimentConfig(**fields)
+        except ValueError as exc:
+            assert any(name in str(exc) for name in _FIELDS), str(exc)
+            return
+        rows = _EXPERIMENTS[config.mode](config)
+        shots = config.n_shot_list or [None]
+        assert len(rows) == len(config.points) * len(shots)
+
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ({"mode": "sweep", "spread_coeff": -5}, "spread_coeff"),
+            ({"mode": "sweep", "spread_coeff": "x"}, "spread_coeff"),
+            ({"mode": "sweep", "spread_coeff": True}, "spread_coeff"),
+            ({"mode": "sweep", "grid_multiplier": True}, "grid_multiplier"),
+            ({"mode": "sweep", "epsilon": "0.1"}, "epsilon"),
+            ({"mode": "sweep", "amplitudes": "0.3"}, "amplitudes"),
+            ({"mode": "sweep", "amplitudes": [True]}, "amplitudes"),
+            ({"mode": "sweep", "amplitudes": ["0.3"]}, "amplitudes"),
+            ({"mode": "sweep", "jittered": True, "max_depth": 0}, "max_depth"),
+            ({"mode": "sweep", "base_seed": None}, "base_seed"),
+            (
+                {"mode": "exceptional_region", "amplitudes": [0.3], "k_index": 99},
+                "k_index",
+            ),
+        ],
+    )
+    def test_bad_field_is_refused_by_name(self, fields, name):
+        with pytest.raises(ValueError, match=name):
+            ExperimentConfig(**{"amplitudes": 3, **fields})
+
+    def test_replace_judges_and_resolves_again(self):
+        config = ExperimentConfig(mode="sweep", max_depth=2, amplitudes=3)
+        assert config.points == (0.0, 0.5, 1.0)
+        wider = dataclasses.replace(config, amplitudes=5)
+        assert wider.points == (0.0, 0.25, 0.5, 0.75, 1.0)
+        with pytest.raises(ValueError, match="spread_coeff"):
+            dataclasses.replace(config, spread_coeff=-5)
+
     @pytest.mark.parametrize(
         "run, mode",
         [
@@ -447,9 +545,12 @@ class TestConfigValidation:
         ],
     )
     def test_experiment_refuses_another_mode(self, run, mode):
-        config = ExperimentConfig(
-            mode=mode, amplitudes=[0.5], n_shot_list=[8], k_index=1
-        )
+        uses = {
+            "sweep": {},
+            "precision_curve": {"n_shot_list": [8]},
+            "exceptional_region": {"k_index": 1},
+        }
+        config = ExperimentConfig(mode=mode, amplitudes=[0.5], **uses[mode])
         with pytest.raises(ValueError, match=f"config.mode is '{mode}'"):
             run(config)
 
@@ -469,17 +570,15 @@ class TestConfigValidation:
             "exceptional_region": {"k_index": 1},
         }
         fields = {**needed.get(mode, {}), field: value}
-        config = ExperimentConfig(mode=mode, max_depth=2, amplitudes=5, **fields)
         with pytest.raises(ValueError, match=f"{mode} does not use {field}"):
-            run(config)
+            ExperimentConfig(mode=mode, max_depth=2, amplitudes=5, **fields)
 
     @pytest.mark.parametrize("shots", [[0], [16.9], [True], [-4, 16], 8])
     def test_bad_shot_counts_are_refused(self, shots):
-        config = ExperimentConfig(
-            mode="precision_curve", max_depth=2, amplitudes=[0.5], n_shot_list=shots
-        )
         with pytest.raises(ValueError, match="n_shot_list"):
-            precision_curve(config)
+            ExperimentConfig(
+                mode="precision_curve", max_depth=2, amplitudes=[0.5], n_shot_list=shots
+            )
 
     @pytest.mark.parametrize(
         "field, value",
@@ -498,7 +597,7 @@ class TestConfigValidation:
             ExperimentConfig(mode="exceptional_region", **{field: value})
 
     def test_numpy_bool_jitter_is_stored_as_bool(self):
-        config = ExperimentConfig(mode="sweep", jittered=np.bool_(True))
+        config = ExperimentConfig(mode="sweep", jittered=np.bool_(True), amplitudes=2)
         assert config.jittered is True
 
     def test_integer_fields_take_numpy_integers(self):
