@@ -26,9 +26,10 @@ def json_int(value: object, field: str) -> int:
     return int(value)
 
 
-def positive_real(value: object, field: str) -> float:
-    """``value`` as a float; bools, non-reals, NaN, +-inf and values <= 0 raise."""
+def positive_real(value: object, field: str, upper: float = math.inf) -> float:
+    """``value`` as a float in (0, upper); bools, non-reals, NaN and +-inf raise."""
     real = isinstance(value, Real) and not isinstance(value, bool)
-    if not (real and 0 < value < math.inf):
-        raise ValueError(f"{field} must be a finite positive number, got {value!r}")
-    return float(value)
+    if real and 0 < value < upper:
+        return float(value)
+    below = f" below {upper:g}" if upper < math.inf else ""
+    raise ValueError(f"{field} must be a finite positive number{below}, got {value!r}")

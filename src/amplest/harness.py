@@ -11,7 +11,7 @@ planned shots over the +-4 epsilon band around one exceptional value; the
 band must lie inside [0, 1]. Rows are projected onto ``CSV_COLUMNS[mode]``.
 
 Points run in forked worker processes (:func:`_map_points`). With ``w``
-workers, child ``k`` inherits the job through ``os.fork`` and computes
+workers, child ``k`` inherits the config through ``os.fork`` and computes
 points ``k, k + w, ...``; the parent reads each child's pickled share from a
 pipe, reaps every child and interleaves the shares back into point order.
 An exception raised in a worker reaches the caller with its type and
@@ -20,13 +20,15 @@ worker, fewer than four points, or a platform without ``os.fork`` runs the
 points serially in the calling process.
 
 Input is judged once: a bad field is refused, by name, when its
-:class:`ExperimentConfig` is built, and an experiment refuses only another
-mode's config. Reproducibility contract (see README): run ``r`` of point
-``i`` uses the seed ``derive_key(base_seed, MODE_TAGS[mode], i, r)`` and
-floats are written with 17 significant digits. ``AMPLEST_THREADS`` caps the
-forked worker processes (default: the cores this process may run on); every
-run derives its own seed and rows come back in point order, so files are
-byte-identical at any worker count.
+:class:`ExperimentConfig` is built (``make_plan`` judges the planning
+fields), and an experiment refuses only another mode's config. The config
+keeps the plan and grid size that the workers read. Reproducibility
+contract (see README): run ``r`` of point ``i`` uses the seed
+``derive_key(base_seed, MODE_TAGS[mode], i, r)`` and floats are written
+with 17 significant digits. ``AMPLEST_THREADS`` caps the forked worker
+processes (default: the cores this process may run on); every run derives
+its own seed and rows come back in point order, so files are byte-identical
+at any worker count.
 """
 
 from __future__ import annotations
@@ -40,13 +42,13 @@ from dataclasses import dataclass, field
 from numbers import Number, Real
 from typing import Iterable, NoReturn, Sequence
 
-import numpy as np
-
-from ._util import ceil_guarded, json_int, positive_real
+from ._util import ceil_guarded, json_int
 from .likelihood import grid_maximize
 from .planner import (
+    Plan,
+    _delta,
+    _exceptional_value,
     erfinv,
-    exceptional_values,
     grid_points,
     make_plan,
     required_shots,
@@ -86,17 +88,18 @@ CSV_COLUMNS = {
 class ExperimentConfig:
     """Inputs of one harness invocation; a bad field is refused here, by name.
 
-    In every mode ``epsilon`` (< 0.5), ``delta`` (< 1), ``spread_coeff`` and
-    ``grid_multiplier`` are finite positive numbers, kept as floats; integer
-    fields refuse bools and floats; ``jittered`` is a bool; ``max_depth`` is
-    >= 0, or >= 1 when jittered; ``amplitudes`` is a count >= 2 or a non-empty
-    list of numbers in [0, 1], resolved once into ``points``; a ``k_index``
-    must name an exceptional value even where a list leaves it unused.
-    Per mode:
+    :func:`make_plan` judges the six planning fields (``epsilon`` through
+    ``grid_multiplier``) in every mode. The config keeps that ``plan``, which
+    holds ``epsilon`` and ``delta`` as floats and ``max_depth`` as an int, and
+    the ``grid_size`` the workers read; ``jittered`` is kept as a bool. The
+    other integer fields refuse bools and floats; ``amplitudes`` is a count
+    >= 2 or a non-empty list of numbers in [0, 1], resolved once into
+    ``points``; a ``k_index`` must name an exceptional value even where a
+    list leaves it unused. Per mode:
 
     * ``sweep``: ``runs_per_point`` is 1; no ``n_shot_list`` or ``k_index``.
     * ``precision_curve``: a non-empty ``n_shot_list`` of integers >= 1, kept
-      as a tuple; no ``k_index``.
+      as a tuple, whose largest entry sizes the grid; no ``k_index``.
     * ``exceptional_region``: no ``n_shot_list``; a count of amplitudes needs
       a ``k_index`` whose band lies inside [0, 1].
     """
@@ -113,19 +116,25 @@ class ExperimentConfig:
     n_shot_list: Sequence[int] | None = None
     k_index: int | None = None
     base_seed: int = 0
+    plan: Plan = field(init=False, repr=False, compare=False)
+    grid_size: int = field(init=False, repr=False, compare=False)
     points: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         mode = self.mode
         if mode not in ("sweep", "precision_curve", "exceptional_region"):
             raise ValueError(f"unknown experiment mode {mode!r}")
-        for name in ("epsilon", "delta", "spread_coeff", "grid_multiplier"):
-            object.__setattr__(self, name, positive_real(getattr(self, name), name))
-        if not self.epsilon < 0.5:
-            raise ValueError("epsilon must lie in (0, 0.5)")
-        if not self.delta < 1:
-            raise ValueError("delta must lie in (0, 1)")
-        ints = ["max_depth", "runs_per_point", "base_seed"]
+        plan = make_plan(
+            self.epsilon,
+            self.delta,
+            self.max_depth,
+            jittered=self.jittered,
+            spread_coeff=self.spread_coeff,
+            grid_multiplier=self.grid_multiplier,
+        )
+        object.__setattr__(self, "jittered", bool(self.jittered))
+        object.__setattr__(self, "plan", plan)
+        ints = ["runs_per_point", "base_seed"]
         if self.k_index is not None:
             ints.append("k_index")
         if isinstance(self.amplitudes, Number):
@@ -134,11 +143,6 @@ class ExperimentConfig:
             object.__setattr__(self, name, json_int(getattr(self, name), name))
         if self.runs_per_point < 1:
             raise ValueError("runs_per_point must be at least 1")
-        if not isinstance(self.jittered, (bool, np.bool_)):
-            raise ValueError(f"jittered must be a bool, got {self.jittered!r}")
-        object.__setattr__(self, "jittered", bool(self.jittered))
-        if self.max_depth < (1 if self.jittered else 0):
-            raise ValueError("max_depth must be at least 0, and 1 when jittered")
         for name, unused in (
             ("runs_per_point", mode == "sweep" and self.runs_per_point != 1),
             ("n_shot_list", mode != "precision_curve" and self.n_shot_list is not None),
@@ -146,6 +150,7 @@ class ExperimentConfig:
         ):
             if unused:
                 raise ValueError(f"{mode} does not use {name}; leave it unset")
+        grid_size = plan.grid_size
         if mode == "precision_curve":
             shots = self.n_shot_list if isinstance(self.n_shot_list, Iterable) else ()
             shots = tuple(json_int(n, "n_shot_list") for n in shots)
@@ -154,6 +159,9 @@ class ExperimentConfig:
             if min(shots) < 1:
                 raise ValueError(f"n_shot_list entries must be at least 1: {shots}")
             object.__setattr__(self, "n_shot_list", shots)
+            eps_min = _precision_from_shots(max(shots), plan.delta, plan.schedule)
+            grid_size = grid_points(self.grid_multiplier, eps_min)
+        object.__setattr__(self, "grid_size", grid_size)
         object.__setattr__(self, "points", tuple(_amplitudes(self)))
 
 
@@ -166,8 +174,7 @@ def achieved_precision(errors: Sequence[float], delta: float) -> float:
     """
     if len(errors) == 0:
         raise ValueError("errors must be non-empty")
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
+    delta = _delta(delta)
     rank = min(len(errors), max(1, ceil_guarded((1.0 - delta) * len(errors))))
     return sorted(errors)[rank - 1]
 
@@ -179,9 +186,9 @@ def _precision_from_shots(n_shot: int, delta: float, schedule: Schedule) -> floa
 
 def _amplitudes(config: ExperimentConfig) -> list[float]:
     """The configured amplitudes; a count spans [0, 1] or the exceptional band."""
-    centers = exceptional_values(config.max_depth)
-    needs_k = f"exceptional_region needs k_index in [0, {len(centers) - 1}]"
-    if config.k_index is not None and not 0 <= config.k_index < len(centers):
+    last_k = 2 * config.plan.max_depth + 1
+    needs_k = f"exceptional_region needs k_index in [0, {last_k}]"
+    if config.k_index is not None and not 0 <= config.k_index <= last_k:
         raise ValueError(needs_k)
     if not isinstance(config.amplitudes, int):
         values = config.amplitudes
@@ -201,8 +208,8 @@ def _amplitudes(config: ExperimentConfig) -> list[float]:
         return [i / (count - 1) for i in range(count)]
     if config.k_index is None:
         raise ValueError(needs_k)
-    center = centers[config.k_index]
-    half_width = 4.0 * config.epsilon
+    center = _exceptional_value(config.plan.max_depth, config.k_index)
+    half_width = 4.0 * config.plan.epsilon
     band = [
         center - half_width + i * (2 * half_width) / (count - 1) for i in range(count)
     ]
@@ -213,24 +220,17 @@ def _amplitudes(config: ExperimentConfig) -> list[float]:
     return band
 
 
-@dataclass(frozen=True)
-class _Job:
-    """What every point of one experiment shares; forked workers inherit it."""
-
-    schedule: Schedule
-    grid_size: int
-    runs: int
-    base_seed: int
-    tag: int
-
-
-def _estimates(job: _Job, i: int, a: float, n_shot: int) -> list[tuple[int, float]]:
+def _estimates(
+    config: ExperimentConfig, i: int, a: float, n_shot: int
+) -> list[tuple[int, float]]:
     """``(seed, a_hat)`` of each run at point ``i``: amplitude a, n_shot shots."""
+    schedule, grid_size = config.plan.schedule, config.grid_size
+    tag = MODE_TAGS[config.mode]
     out = []
-    for r in range(job.runs):
-        seed = derive_key(job.base_seed, job.tag, i, r)
-        record = draw_record(a, job.schedule, n_shot, seed)
-        out.append((seed, grid_maximize(record, job.grid_size).a_hat))
+    for r in range(config.runs_per_point):
+        seed = derive_key(config.base_seed, tag, i, r)
+        record = draw_record(a, schedule, n_shot, seed)
+        out.append((seed, grid_maximize(record, grid_size).a_hat))
     return out
 
 
@@ -259,12 +259,12 @@ def _worker_count(n_points: int) -> int:
 
 
 def _map_points(
-    mode: str, job: _Job, points: list[tuple[float, int]]
+    config: ExperimentConfig, points: list[tuple[float, int]]
 ) -> list[list[tuple[int, float]]]:
     """:func:`_estimates` at each ``(a, n_shot)`` point, serially or in forked workers.
 
     With ``w`` workers the process forks ``w`` children; child ``k`` inherits
-    ``job`` and ``points`` through the fork and computes points ``k, k + w,
+    ``config`` and ``points`` through the fork and computes points ``k, k + w,
     ...``. It pickles ``("ok", estimates)``, or ``("error", exc)`` when
     :func:`_estimates` raised, into its pipe and leaves through ``os._exit``,
     so no atexit handler runs and no inherited stdio buffer is flushed twice.
@@ -280,7 +280,7 @@ def _map_points(
     """
     workers = _worker_count(len(points))
     if workers == 1 or len(points) < 4 or not hasattr(os, "fork"):
-        return [_estimates(job, i, a, n_shot) for i, (a, n_shot) in enumerate(points)]
+        return [_estimates(config, i, *point) for i, point in enumerate(points)]
     pids: list[int] = []
     pipes = []
     try:
@@ -290,7 +290,7 @@ def _map_points(
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _worker(job, points, k, workers, write)
+                    _worker(config, points, range(k, len(points), workers), write)
             finally:
                 os.close(write)
             pids.append(pid)
@@ -308,7 +308,7 @@ def _map_points(
         code = os.waitstatus_to_exitcode(status)
         if code != 0 or not payload:
             raise RuntimeError(
-                f"{mode}: worker {k} exited with code {code} while running "
+                f"{config.mode}: worker {k} exited with code {code} while running "
                 f"{len(points)} points on {workers} workers; AMPLEST_THREADS=1 "
                 "runs the job serially"
             )
@@ -320,14 +320,13 @@ def _map_points(
 
 
 def _worker(
-    job: _Job, points: list[tuple[float, int]], k: int, workers: int, write: int
+    config: ExperimentConfig, points: list[tuple[float, int]], share: range, write: int
 ) -> NoReturn:
-    """Forked child ``k`` of :func:`_map_points`: pickle its share; never returns."""
+    """Forked child of :func:`_map_points`: pickle its ``share``; never returns."""
     code = 1
     try:
         try:
-            share = range(k, len(points), workers)
-            result = ("ok", [_estimates(job, i, *points[i]) for i in share])
+            result = ("ok", [_estimates(config, i, *points[i]) for i in share])
         except Exception as exc:
             result = ("error", exc)
         with os.fdopen(write, "wb") as pipe:
@@ -341,33 +340,20 @@ def _run(config: ExperimentConfig, mode: str) -> list[dict]:
     """Run experiment ``mode`` (see the module docstring); config.mode must match."""
     if config.mode != mode:
         raise ValueError(f"config.mode is {config.mode!r}, expected {mode!r}")
-    plan = make_plan(
-        config.epsilon,
-        config.delta,
-        config.max_depth,
-        jittered=config.jittered,
-        spread_coeff=config.spread_coeff,
-        grid_multiplier=config.grid_multiplier,
-    )
-    grid_size = plan.grid_size
-    if mode == "precision_curve":
-        shot_list = config.n_shot_list
-        eps_min = _precision_from_shots(max(shot_list), config.delta, plan.schedule)
-        grid_size = grid_points(config.grid_multiplier, eps_min)
-    else:
-        shot_list = [required_shots(config.epsilon, config.delta, plan.schedule)]
+    plan = config.plan
+    shot_list = config.n_shot_list or [
+        required_shots(plan.epsilon, plan.delta, plan.schedule)
+    ]
     points = [(a, n) for a in config.points for n in shot_list]
-    runs = config.runs_per_point
-    job = _Job(plan.schedule, grid_size, runs, config.base_seed, MODE_TAGS[mode])
     rows = []
-    for (a, n_shot), estimates in zip(points, _map_points(mode, job, points)):
-        row = {"a_true": a, "n_shot": n_shot, "runs": runs}
+    for (a, n_shot), estimates in zip(points, _map_points(config, points)):
+        row = {"a_true": a, "n_shot": n_shot, "runs": config.runs_per_point}
         if mode == "sweep":
             row["seed"], row["a_hat"] = estimates[0]
             row["abs_err"] = abs(row["a_hat"] - a)
         else:
             errors = [abs(a_hat - a) for _, a_hat in estimates]
-            row["eps_achieved"] = achieved_precision(errors, config.delta)
+            row["eps_achieved"] = achieved_precision(errors, plan.delta)
         rows.append({c: row[c] for c in CSV_COLUMNS[mode]})
     return rows
 

@@ -15,7 +15,9 @@ import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from ._util import ceil_guarded, positive_real
+import numpy as np
+
+from ._util import ceil_guarded, json_int, positive_real
 from .schedules import (
     Schedule,
     call_weight,
@@ -73,11 +75,28 @@ def erfinv(y: float) -> float:
     return math.copysign(x, y)
 
 
+def _epsilon(epsilon: object) -> float:
+    return positive_real(epsilon, "epsilon", 0.5)
+
+
+def _delta(delta: object) -> float:
+    delta = positive_real(delta, "delta", 1.0)
+    if not 1.0 - delta < 1.0:  # below ~5.6e-17, erfinv(1 - delta) has no value
+        raise ValueError(f"delta must keep 1 - delta below 1, got {delta!r}")
+    return delta
+
+
+def _max_depth(max_depth: object) -> int:
+    max_depth = json_int(max_depth, "max_depth")
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be at least 0, got {max_depth}")
+    return max_depth
+
+
 def required_fisher_info(epsilon: float, delta: float) -> float:
     """Fisher information needed for |estimate - a| <= epsilon w.p. 1 - delta."""
-    positive_real(epsilon, "epsilon")
-    _check_delta(delta)
-    z = erfinv(1.0 - delta)
+    epsilon = _epsilon(epsilon)
+    z = erfinv(1.0 - _delta(delta))
     return 2.0 * z * z / (epsilon * epsilon)
 
 
@@ -93,15 +112,11 @@ def required_shots(
     applies. The real-valued requirement is rounded up so the Fisher
     information never undershoots.
     """
-    if not 0 < epsilon < 0.5:
-        raise ValueError("epsilon must lie in (0, 0.5)")
-    _check_delta(delta)
+    epsilon, delta = _epsilon(epsilon), _delta(delta)
     if a is None:
         scale = 0.25
     else:
-        if not 0 < a < 1:
-            raise ValueError("a must lie in (0, 1)")
-        scale = a * (1.0 - a)
+        scale = positive_real(a, "a", 1.0) * (1.0 - a)
     z = erfinv(1.0 - delta)
     raw = 2.0 * scale * z * z / (info_weight_squared(schedule) * epsilon * epsilon)
     return max(1, ceil_guarded(raw))
@@ -124,13 +139,13 @@ def speedup_factor(schedule: Schedule) -> float:
 
 def fisher_information(a: float, schedule: Schedule, n_shot: int) -> float:
     """Fisher information about ``a`` in a record of ``n_shot`` shots per depth."""
-    _check_open_interval(a)
+    positive_real(a, "a", 1.0)
     return n_shot * info_weight_squared(schedule) / (a * (1.0 - a))
 
 
 def average_error(a: float, schedule: Schedule, n_shot: int) -> float:
     """Root-mean-square estimation error under the Gaussian approximation."""
-    _check_open_interval(a)
+    positive_real(a, "a", 1.0)
     if n_shot < 1:
         raise ValueError("n_shot must be at least 1")
     return math.sqrt(a * (1.0 - a) / n_shot) / info_weight(schedule)
@@ -143,24 +158,28 @@ def exceptional_values(max_depth: int) -> list[float]:
     Near them the log-likelihood develops singularities and the planned
     shot count stops being sufficient.
     """
-    if max_depth < 0:
-        raise ValueError("max_depth must be non-negative")
-    half_steps = 2 * (2 * max_depth + 1)
-    return [math.sin(k * math.pi / half_steps) ** 2 for k in range(2 * max_depth + 2)]
+    max_depth = _max_depth(max_depth)
+    return [_exceptional_value(max_depth, k) for k in range(2 * max_depth + 2)]
+
+
+def _exceptional_value(max_depth: int, k: int) -> float:
+    """The ``k``-th exceptional amplitude, sin^2(k*pi / (2*(2d+1))), unchecked."""
+    return math.sin(k * math.pi / (2 * (2 * max_depth + 1))) ** 2
 
 
 def single_shot_fisher_info(a: float, depth: int) -> float:
     """Fisher information of one shot at one depth: (2d+1)^2 / (a(1-a))."""
-    _check_open_interval(a)
+    positive_real(a, "a", 1.0)
     if depth < 0:
         raise ValueError("depth must be non-negative")
     return (2 * depth + 1) ** 2 / (a * (1.0 - a))
 
 
 def grid_points(multiplier: float, epsilon: float) -> int:
-    """Angle-grid size for precision ``epsilon``: ceil(multiplier / epsilon), >= 2."""
+    """Angle-grid size ceil(multiplier / epsilon), >= 2, for any positive epsilon."""
     multiplier = positive_real(multiplier, "grid_multiplier")
-    return max(2, ceil_guarded(multiplier / epsilon))
+    # not _epsilon: a precision curve's grid epsilon may exceed 0.5
+    return max(2, ceil_guarded(multiplier / positive_real(epsilon, "epsilon")))
 
 
 @dataclass(frozen=True)
@@ -195,13 +214,15 @@ def make_plan(
 
     ``max_depth = 0`` degenerates to classical sampling on the single depth
     0. With ``jittered`` set, the schedule is spread first and the shot
-    count is computed from the jittered information weight.
+    count is computed from the jittered information weight. Every argument
+    is judged, read or not; a bad one raises ``ValueError`` naming it.
     """
-    if not 0 < epsilon < 0.5:
-        raise ValueError("epsilon must lie in (0, 0.5)")
-    _check_delta(delta)
-    if max_depth < 0:
-        raise ValueError("max_depth must be non-negative")
+    epsilon, delta, max_depth = _epsilon(epsilon), _delta(delta), _max_depth(max_depth)
+    positive_real(spread_coeff, "spread_coeff")
+    if not isinstance(jittered, (bool, np.bool_)):
+        raise ValueError(f"jittered must be a bool, got {jittered!r}")
+    if jittered and max_depth == 0:
+        raise ValueError("max_depth must be at least 1 when jittered")
     if max_depth == 0:
         schedule = Schedule((0,), (Fraction(1),), kind="custom")
     else:
@@ -219,13 +240,3 @@ def make_plan(
         grid_size=grid_points(grid_multiplier, epsilon),
         grid_multiplier=grid_multiplier,
     )
-
-
-def _check_delta(delta: float) -> None:
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
-
-
-def _check_open_interval(a: float) -> None:
-    if not 0 < a < 1:
-        raise ValueError("a must lie strictly inside (0, 1)")

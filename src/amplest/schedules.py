@@ -220,7 +220,7 @@ def jitter(schedule: Schedule, spread_coeff: float) -> Schedule:
     """Spread each depth's shots over a logarithmic-width band of nearby depths.
 
     Walks the schedule from the largest depth down. Depth d at position i
-    has width w = max(0, round(ln(spread_coeff * d))), or 0 for d = 0, and
+    has width w = max(0, round(ln(spread_coeff) + ln(d))), or 0 for d = 0, and
     the band [max(0, d - w), upper] with upper = d at the maximum depth
     (never exceed it) and d + w below it. The band replaces d when it keeps
     a gap of at least one depth below, to the next-smaller original depth
@@ -240,9 +240,9 @@ def jitter(schedule: Schedule, spread_coeff: float) -> Schedule:
     out_fractions: list[Fraction] = []
     for i in range(last, -1, -1):
         d = depths[i]
-        # spread_coeff * d < 1 would give a negative width and an empty band
-        # that swallows the depth; clamp to a width-zero band instead
-        w = max(0, round_half_away(math.log(spread_coeff * d))) if d > 0 else 0
+        # clamp a negative width, whose empty band would swallow the depth; a
+        # sum of logs cannot overflow where log(spread_coeff * d) would
+        w = max(0, round_half_away(math.log(spread_coeff) + math.log(d))) if d else 0
         lower, upper = max(0, d - w), d if i == last else d + w
         fits = (i == 0 or lower > depths[i - 1] + 1) and (
             i == last or upper < out_depths[-1] - 1

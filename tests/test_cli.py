@@ -153,6 +153,27 @@ class TestSubprocessEntryPoints:
         assert "spread_coeff" in result.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["plan", "--spread-coeff", "-5"], "spread_coeff"),
+            (["estimate", "--delta", "1e-17", "--amplitude", "0.3", "--seed", "1"],
+             "delta"),
+        ],
+    )
+    def test_bad_plan_input_is_refused_before_any_output(self, flags, field):
+        # the plan was printed with -5, and 1e-17 failed inside erfinv
+        result = subprocess.run(
+            [sys.executable, "-m", "amplest", *flags,
+             "--max-depth", "4", "--epsilon", "0.01"],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode != 0
+        last = result.stderr.strip().splitlines()[-1]
+        assert last.startswith("ValueError: " + field), last
+        assert result.stdout == ""
+
     def test_precision_curve_roundtrip(self, tmp_path):
         out = tmp_path / "curve.csv"
         subprocess.run(

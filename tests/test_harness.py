@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,6 +66,11 @@ class TestAchievedPrecision:
         with pytest.raises(ValueError):
             achieved_precision([], 0.01)
 
+    def test_delta_below_the_float_step_under_one_is_named(self):
+        # 1 - 1e-17 rounds to 1.0, which leaves no (1 - delta) quantile
+        with pytest.raises(ValueError, match="delta"):
+            achieved_precision([1.0], 1e-17)
+
 
 class TestSweep:
     def test_three_point_sweep_has_exact_endpoints(self):
@@ -84,6 +90,30 @@ class TestSweep:
     def test_pure_function_of_config(self):
         config = ExperimentConfig(mode="sweep", max_depth=8, amplitudes=40, base_seed=3)
         assert sweep_amplitudes(config) == sweep_amplitudes(config)
+
+    def test_largest_spread_coeff_runs(self, monkeypatch):
+        # spread_coeff * d overflows to inf here; the jitter widths must not
+        monkeypatch.setenv("AMPLEST_THREADS", "1")
+        config = ExperimentConfig(
+            mode="sweep",
+            jittered=True,
+            spread_coeff=1e308,
+            max_depth=4,
+            epsilon=0.05,
+            amplitudes=2,
+        )
+        assert config.plan.schedule.kind == "jittered"
+        assert len(sweep_amplitudes(config)) == 2
+
+    def test_huge_max_depth_builds_no_exceptional_list(self):
+        # 2 * max_depth + 2 exceptional values would take tens of MB
+        tracemalloc.start()
+        try:
+            ExperimentConfig(mode="sweep", max_depth=10**6, epsilon=0.05, amplitudes=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_failures_localize_to_exceptional_bands(self):
         config = ExperimentConfig(

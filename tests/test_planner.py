@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 import scipy.special
 
+from amplest.harness import ExperimentConfig
 from amplest.planner import (
     Plan,
     average_error,
     erfinv,
     exceptional_values,
     fisher_information,
+    grid_points,
     make_plan,
     required_fisher_info,
     required_shots,
@@ -307,3 +309,70 @@ class TestCallRatioTrend:
         assert all(0.9 <= r <= 1.5 for r in ratios)
         gaps = [abs(r - 1.0) for r in ratios]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
+
+
+# Every public entry that takes planning input, the fields it takes, and
+# values each field must refuse by name.
+_GOOD = {
+    "epsilon": 0.05,
+    "delta": 0.01,
+    "max_depth": 4,
+    "jittered": False,
+    "spread_coeff": 2.0,
+    "grid_multiplier": 3.0,
+}
+_NOT_POSITIVE_REALS = [math.nan, math.inf, -math.inf, True, "0.1", 0, -0.1]
+_BAD = {
+    "epsilon": _NOT_POSITIVE_REALS + [0.5, 0.7],
+    "delta": _NOT_POSITIVE_REALS + [1e-17],
+    "max_depth": [2.5, True, -1],
+    "jittered": ["no", 1],
+    "spread_coeff": _NOT_POSITIVE_REALS,
+    "grid_multiplier": _NOT_POSITIVE_REALS,
+}
+_ENTRIES = {
+    "make_plan": (lambda f: make_plan(**f), set(_GOOD)),
+    "required_shots": (
+        lambda f: required_shots(f["epsilon"], f["delta"], ZERO_DEPTH),
+        {"epsilon", "delta"},
+    ),
+    "required_fisher_info": (
+        lambda f: required_fisher_info(f["epsilon"], f["delta"]),
+        {"epsilon", "delta"},
+    ),
+    # any finite positive epsilon: a precision curve's may exceed 0.5
+    "grid_points": (
+        lambda f: grid_points(f["grid_multiplier"], f["epsilon"]),
+        {"grid_multiplier", "epsilon"},
+    ),
+    "exceptional_values": (lambda f: exceptional_values(f["max_depth"]), {"max_depth"}),
+    "ExperimentConfig": (
+        lambda f: ExperimentConfig(mode="sweep", amplitudes=2, **f),
+        set(_GOOD),
+    ),
+}
+_CASES = [
+    (entry, field, value)
+    for entry, (_, reads) in _ENTRIES.items()
+    for field in sorted(reads)
+    for value in _BAD[field]
+    if not (entry == "grid_points" and value in (0.5, 0.7))
+]
+
+
+class TestPlanningInput:
+    @pytest.mark.parametrize("entry", sorted(_ENTRIES))
+    def test_good_input_passes(self, entry):
+        _ENTRIES[entry][0](dict(_GOOD))
+
+    @pytest.mark.parametrize("entry, field, value", _CASES)
+    def test_bad_input_is_refused_by_name(self, entry, field, value):
+        with pytest.raises(ValueError, match=field):
+            _ENTRIES[entry][0]({**_GOOD, field: value})
+
+    def test_grid_points_takes_a_precision_above_one_half(self):
+        # one shot at depth 0 pairs with precision 1.29, which sizes the grid
+        config = ExperimentConfig(
+            mode="precision_curve", max_depth=0, amplitudes=[0.5], n_shot_list=[1]
+        )
+        assert config.grid_size == grid_points(3.0, 1.29) == 3
