@@ -197,8 +197,13 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    _COMMANDS[args.command](args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        _COMMANDS[args.command](args)
+    except ValueError as exc:
+        # bad input reads like argparse's own errors: one line, exit code 2
+        parser.error(str(exc))
     return 0
 
 

@@ -11,29 +11,37 @@ amplitudes, and clamping would mask them.
 Maximization returns the first maximizer (ties break toward smaller angle)
 over ``grid_size`` evenly spaced angles spanning [0, pi/2] inclusive, as an
 exhaustive scan would, without evaluating every angle. The grid is cut
-into blocks of about sqrt(grid_size) columns, and only the block edges are
-kept per (depths, grid_size), so memory and per-run work are O(D sqrt(G))
-for D depths and G grid points, at any ``epsilon``. Each depth's term is
-``f(p) = h ln p + m ln(1 - p)`` at ``p = sin^2(c theta)`` (``c = 2d + 1``),
-and ``f`` is concave in ``p`` with its maximum at ``p = h / n``. Over a
-block, ``p`` takes every value in a range ``[p_lo, p_hi]`` per (depth,
-block): the two edge values, widened to 0 or 1 where the block holds
-an integer or half-integer ``c theta / pi``. The term is therefore bounded
-on the block by ``f(clip(h / n, p_lo, p_hi))``, and a block's bound is the
-sum over depths. The logs of both range ends are cached, and since
-``ln`` is increasing, ``ln clip(r, p_lo, p_hi) = clip(ln r, ln p_lo, ln p_hi)``
-(and likewise for ``ln(1 - p)``, which decreases): each term is a choice
-among the cached edge logs and the depth's peak ``h ln r + m ln(1 - r)``,
-``r = h / n``, and the bound pass takes logs of the D ratios only. Exactly
-evaluated are the block with the highest bound and every block whose bound
-reaches the best value found less a float margin.
+into a two-level tree (:class:`_BlockTree`): about G^(1/3) top blocks,
+each of about G^(1/3) leaves of about G^(1/3) columns, for G grid points.
+Each depth's term is ``f(p) = h ln p + m ln(1 - p)`` at
+``p = sin^2(c theta)`` (``c = 2d + 1``), and ``f`` is concave in ``p`` with
+its maximum at ``p = h / n``. Over a block's columns ``p`` takes every value
+in a range ``[p_lo, p_hi]`` per (depth, block): the two end values, widened
+to 0 or 1 where the block holds an integer or half-integer
+``c theta / pi``. The term is therefore bounded on the block by
+``f(clip(h / n, p_lo, p_hi))``, and a block's bound is the sum over depths.
+The logs of both range ends are kept, and since ``ln`` is increasing,
+``ln clip(r, p_lo, p_hi) = clip(ln r, ln p_lo, ln p_hi)`` (and likewise for
+``ln(1 - p)``, which decreases): each term is a choice among the kept edge
+logs and the depth's peak ``h ln r + m ln(1 - r)``, ``r = h / n``, and a
+bound pass takes logs of the D ratios only.
 
-Each grid keeps the ``ln p`` and ``ln(1 - p)`` rows of the blocks it
-evaluated in its own ``functools.lru_cache`` of as many blocks as fit in
-``_ROW_CACHE_BYTES``, so a block evaluated again takes no ``sin`` or ``log``.
-Memory per grid stays O(D sqrt(G)) plus that fixed budget.
+A run bounds the top blocks and visits them from the highest bound down
+while the bound reaches the best value found less a float margin; in each
+visited top block it bounds the leaves and evaluates them exactly in the
+same way. This is branch and bound over an interval partition (Shubert,
+SIAM J. Numer. Anal. 9, 1972; E. Hansen, *Global Optimization Using
+Interval Analysis*, 1992). The top blocks' edge logs are built with the
+tree; each top block's leaf edge logs and each leaf's ``ln p`` and
+``ln(1 - p)`` rows are built on first use and kept in a
+``functools.lru_cache`` of at most ``_ROW_CACHE_BYTES`` each, so a top
+block or leaf visited again takes no ``sin`` or ``log``. Memory per tree is
+O(D G^(1/3)) plus those caches, at any ``epsilon``.
 
-A column's value is ``sum_j (h_j ln p_j + m_j ln(1 - p_j))`` with the depths
+Kernels work on the stacked (2D, n) ``[ln p; ln(1 - p)]`` limits and rows:
+they multiply by the stacked counts ``[h; m]``, then set the rows whose
+count is 0 to exactly 0, so a dropped ``0 * -inf`` never becomes NaN. A
+column's value is ``sum_j (h_j ln p_j + m_j ln(1 - p_j))`` with the depths
 added in ascending order and ``p_j = sin(c_j * theta) ** 2`` in float64, so
 results do not depend on batching, block layout or thread count.
 """
@@ -57,14 +65,15 @@ __all__ = [
     "run_mlqae",
 ]
 
-# A block is evaluated when its bound reaches the best value found less
+# A block is visited when its bound reaches the best value found less
 # _MARGIN * (|best| + total shots): column values carry rounding errors of
 # a few ulps of each term and of each count, far below this.
 _MARGIN = 1e-9
-# Each grid keeps the ln p and ln(1 - p) rows of its recently evaluated
-# blocks, least recently used first out, in at most this many bytes. That
-# holds every block of a 3000-point grid at d=16 and a few blocks of a
-# 300k-point grid at d=50; below one block it holds none.
+# Each tree keeps the leaf edge logs of its recently visited top blocks,
+# and the ln p and ln(1 - p) rows of its recently evaluated leaves, least
+# recently used first out, in at most this many bytes each. That holds
+# every top block and leaf of a 3000-point grid at d=16 and a few of a
+# 300k-point grid at d=50; below one entry a cache holds none.
 _ROW_CACHE_BYTES = 2**20
 # Integer and half-integer ``c * theta / pi`` are tested against blocks
 # widened by this much, far above its rounding; a false positive only
@@ -119,126 +128,224 @@ def grid_angles(grid_size: int) -> np.ndarray:
     return np.arange(grid_size) * _angle_step(grid_size)
 
 
-def _log_probs(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``ln p`` and ``ln(1 - p)`` for ``p = sin^2(angles)``; ``-inf`` stays."""
+def _log_probs(angles: np.ndarray) -> np.ndarray:
+    """Stacked ``[ln p; ln(1 - p)]`` for ``p = sin^2(angles)``; ``-inf`` stays."""
     p = np.sin(angles) ** 2
     with np.errstate(divide="ignore"):
-        return np.log(p), np.log1p(-p)
+        return np.concatenate((np.log(p), np.log1p(-p)))
 
 
-def _depth_terms(
-    hits: np.ndarray, misses: np.ndarray, log_p: np.ndarray, log_q: np.ndarray
-) -> np.ndarray:
-    """Per-depth terms ``hits * ln p + misses * ln q``; zero counts drop out.
+def _depth_sum(terms: np.ndarray, zero: list[int]) -> np.ndarray:
+    """``sum_j (terms[j] + terms[D + j])`` over depths ``j`` in ascending order.
 
-    A dropped term is exactly 0, so ``0 * -inf`` never becomes NaN.
+    ``terms`` stacks the ``(2D, n)`` products ``[h ln p; m ln(1 - p)]`` and
+    is overwritten: its rows whose count is 0 (``zero``) become exactly 0,
+    so a dropped ``0 * -inf`` term never turns into NaN.
     """
-    good = np.multiply(hits, log_p, out=np.zeros(log_p.shape), where=hits > 0)
-    bad = np.multiply(misses, log_q, out=np.zeros(log_q.shape), where=misses > 0)
-    return good + bad
+    for row in zero:
+        terms[row] = 0.0
+    half = len(terms) // 2
+    pairs = terms[:half] + terms[half:]
+    if pairs.shape[1] > 1:
+        # Reducing axis 0 of a C-ordered array adds the rows one by one.
+        return np.add.reduce(pairs, 0)
+    # A single column would be summed pairwise; Python's sum adds in order.
+    return np.array([sum(pairs[:, 0].tolist(), 0.0)])
 
 
-def _sin2_ranges(factors: np.ndarray, edges: np.ndarray, step: float):
-    """``[p_lo, p_hi]`` of ``sin^2(c theta)`` per depth (row) and block (column)."""
-    angles = factors * (edges * step)
-    p = np.sin(angles) ** 2
-    x = angles / math.pi
-    left, right = p[:, :-1], p[:, 1:]
+def _bounds(
+    lo: np.ndarray,
+    hi: np.ndarray,
+    counts: np.ndarray,
+    peak: np.ndarray,
+    zero: list[int],
+) -> np.ndarray:
+    """Upper bound of the record's log-likelihood on each block of a level.
+
+    Per depth and block, ``f(clip(r, p_lo, p_hi))`` with ``r = h / n``.
+    A monotone function commutes with min and max, so with numpy's ``log``
+    and ``log1p`` monotone the logs of the clipped value are the logs of
+    ``r`` (``peak``) clipped into the block's edge logs ``[lo, hi]``, term
+    for term (the tests hold this against logs of the clipped values).
+    Callers silence numpy's invalid-value warning for ``0 * -inf``.
+    """
+    clipped = np.maximum(peak, lo)
+    np.minimum(clipped, hi, out=clipped)
+    clipped *= counts
+    return _depth_sum(clipped, zero)
+
+
+def _sin2_ranges(
+    factors: np.ndarray, first: np.ndarray, last: np.ndarray, step: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``[p_lo, p_hi]`` of ``sin^2(c theta)`` per depth (row) and block (column).
+
+    Block ``k`` spans the angles of columns ``first[k]`` to ``last[k]``.
+    """
+    lo_angles, hi_angles = factors * (first * step), factors * (last * step)
+    left, right = np.sin(lo_angles) ** 2, np.sin(hi_angles) ** 2
     # sin^2(pi x) is 0 at integer x and 1 at half-integer x.
-    x_lo, x_hi = x[:, :-1] - _EXTREMUM_SLACK, x[:, 1:] + _EXTREMUM_SLACK
+    x_lo = lo_angles / math.pi - _EXTREMUM_SLACK
+    x_hi = hi_angles / math.pi + _EXTREMUM_SLACK
     p_lo = np.where(np.floor(x_hi) >= x_lo, 0.0, np.minimum(left, right))
     p_hi = np.where(np.floor(x_hi - 0.5) >= x_lo - 0.5, 1.0, np.maximum(left, right))
     return p_lo, p_hi
 
 
-def _rows_of(factors: np.ndarray, edges: np.ndarray, step: float, block: int):
-    """Read-only ``ln p`` and ``ln(1 - p)`` over a block's columns, rows by depth."""
-    stop = edges[block + 1] + (block + 2 == len(edges))
-    rows = _log_probs(factors * (np.arange(edges[block], stop) * step))
-    for row in rows:
-        row.flags.writeable = False  # a cached row is shared by every later call
+def _log_limits(
+    factors: np.ndarray, first: np.ndarray, last: np.ndarray, step: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked edge logs of each block's ``[p_lo, p_hi]``, read-only.
+
+    ``lo = [ln p_lo; ln(1 - p_hi)]`` and ``hi = [ln p_hi; ln(1 - p_lo)]``:
+    ``ln(1 - p)`` decreases, so its range ends swap.
+    """
+    p_lo, p_hi = _sin2_ranges(factors, first, last, step)
+    with np.errstate(divide="ignore"):
+        lo = np.concatenate((np.log(p_lo), np.log1p(-p_hi)))
+        hi = np.concatenate((np.log(p_hi), np.log1p(-p_lo)))
+    lo.flags.writeable = hi.flags.writeable = False
+    return lo, hi
+
+
+def _spans(first: int, last: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """First and last columns of blocks of ``width`` columns from ``first``.
+
+    The final block runs to ``last`` inclusive, so it holds at least two
+    columns and at most ``width + 1``.
+    """
+    starts = np.arange(first, last, width)
+    return starts, np.append(starts[1:] - 1, last)
+
+
+def _leaves_of(factors, step, first, last, width, top):
+    """Edge logs of the leaves of one top block (see :class:`_BlockTree`)."""
+    spans = _spans(int(first[top]), int(last[top]), width)
+    return _log_limits(factors, *spans, step)
+
+
+def _rows_of(factors, step, last, width, leaf):
+    """Read-only stacked ``[ln p; ln(1 - p)]`` over one leaf's columns."""
+    start = leaf * width
+    stop = last + 1 if start + width >= last else start + width
+    rows = _log_probs(factors * (np.arange(start, stop) * step))
+    rows.flags.writeable = False  # a cached row is shared by every later call
     return rows
 
 
-class _BlockGrid:
-    """Block edges of the angle grid for one tuple of depths.
+def _icbrt(n: int) -> int:
+    """Largest integer whose cube is at most ``n >= 0``."""
+    r = round(n ** (1.0 / 3.0))
+    while r**3 > n:
+        r -= 1
+    while (r + 1) ** 3 <= n:
+        r += 1
+    return r
 
-    Block ``k`` evaluates columns ``edges[k]`` to ``edges[k + 1] - 1`` (the
-    last block also the final column); its bound covers both edges, over
-    which depth ``j`` sees ``sin^2(c_j theta)`` span ``[p_lo, p_hi][j, k]``
-    (:func:`_sin2_ranges`), kept as ``log_p_*`` = ``ln p`` and ``log_q_*`` =
-    ``ln(1 - p)`` at both ends. ``rows(k)`` caches the rows of as many blocks
-    of the widest size (``width + 1`` columns) as fit in ``_ROW_CACHE_BYTES``,
-    least recently used first out. It holds no reference to the grid, so a
-    grid dropped from :func:`_block_grid` is freed at once.
+
+class _BlockTree:
+    """A two-level partition of the angle grid for one tuple of depths.
+
+    Leaves of ``width = icbrt(G - 1) + 1`` columns tile the grid: leaf ``k``
+    holds columns ``k * width`` to ``(k + 1) * width - 1``, and the last
+    leaf runs to the final column ``G - 1``. Top block ``t`` groups leaves
+    ``t * width`` to ``(t + 1) * width - 1``, so there are about
+    ``G^(1/3)`` top blocks of ``G^(1/3)`` leaves each; it holds columns
+    ``first[t]`` to ``last[t]``. Over a block's columns, depth ``j`` sees
+    ``sin^2(c_j theta)`` span ``[p_lo, p_hi]`` (:func:`_sin2_ranges`), kept
+    as stacked edge logs (:func:`_log_limits`): ``lo`` and ``hi`` for the
+    top blocks, ``leaves(t)`` for the leaves of top block ``t``. ``leaves``
+    and ``rows(k)``, leaf ``k``'s stacked ``[ln p; ln(1 - p)]``, are each
+    cached in at most ``_ROW_CACHE_BYTES``, least recently used first out.
+    The caches hold no reference to the tree, so a tree dropped from
+    :func:`_block_tree` is freed at once.
     """
 
     def __init__(self, depths: tuple[int, ...], grid_size: int):
         if grid_size < 2:
             raise ValueError("grid_size must be at least 2")
-        width = math.isqrt(grid_size - 1) + 1
-        self.edges = np.append(np.arange(0, grid_size - 1, width), grid_size - 1)
+        self.width = _icbrt(grid_size - 1) + 1
+        self.first, self.last = _spans(0, grid_size - 1, self.width**2)
         self.step = _angle_step(grid_size)
         # Rows are depths: factors is the (D, 1) column of c = 2d + 1.
         self.factors = np.array([2.0 * d + 1.0 for d in depths]).reshape(-1, 1)
-        p_lo, p_hi = _sin2_ranges(self.factors, self.edges, self.step)
-        with np.errstate(divide="ignore"):
-            self.log_p_lo, self.log_q_lo = np.log(p_lo), np.log1p(-p_lo)
-            self.log_p_hi, self.log_q_hi = np.log(p_hi), np.log1p(-p_hi)
-        block_bytes = 16 * max(1, len(depths)) * (width + 1)
-        self.rows = lru_cache(maxsize=_ROW_CACHE_BYTES // block_bytes)(
-            partial(_rows_of, self.factors, self.edges, self.step)
+        self.lo, self.hi = _log_limits(self.factors, self.first, self.last, self.step)
+        # A stacked (2D, n) float64 array takes 16 D n bytes: a leaf's rows
+        # have at most width + 1 columns, a top block's leaves' limits are
+        # two arrays of at most width columns.
+        depth_bytes = 16 * max(1, len(depths))
+        limit_bytes = 2 * depth_bytes * self.width
+        row_bytes = depth_bytes * (self.width + 1)
+        self.leaves = lru_cache(maxsize=_ROW_CACHE_BYTES // limit_bytes)(
+            partial(
+                _leaves_of, self.factors, self.step, self.first, self.last, self.width
+            )
         )
-
-    def bounds(self, hits: np.ndarray, misses: np.ndarray) -> np.ndarray:
-        """Upper bound of the record's log-likelihood on each block.
-
-        Per depth and block, ``f(clip(r, p_lo, p_hi))`` with ``r = h / n``.
-        A monotone function commutes with min and max, so with numpy's
-        ``log`` and ``log1p`` monotone the logs of the clipped value are the
-        logs of ``r`` clipped to the block's cached edge logs, term for term
-        (the tests hold this against logs of the clipped values). A run
-        computes the logs of its D ratios only.
-        """
-        r = hits / (hits + misses)
-        with np.errstate(divide="ignore"):
-            log_r, log_1m_r = np.log(r), np.log1p(-r)
-        log_p = np.minimum(np.maximum(log_r, self.log_p_lo), self.log_p_hi)
-        log_q = np.maximum(np.minimum(log_1m_r, self.log_q_lo), self.log_q_hi)
-        return _depth_terms(hits, misses, log_p, log_q).sum(axis=0)
-
-    def evaluate(
-        self, block: int, hits: np.ndarray, misses: np.ndarray
-    ) -> tuple[int, float]:
-        """First-maximum grid index and exact value within one block."""
-        log_p, log_q = self.rows(block)
-        # Reducing axis 0 of a C-ordered array adds the rows one by one,
-        # so the depths are summed in ascending order.
-        values = np.add.reduce(_depth_terms(hits, misses, log_p, log_q), axis=0)
-        i = int(np.argmax(values))
-        return int(self.edges[block]) + i, float(values[i])
+        self.rows = lru_cache(maxsize=_ROW_CACHE_BYTES // row_bytes)(
+            partial(_rows_of, self.factors, self.step, grid_size - 1, self.width)
+        )
 
 
 @lru_cache(maxsize=3)
-def _block_grid(depths: tuple[int, ...], grid_size: int) -> _BlockGrid:
-    return _BlockGrid(depths, grid_size)
+def _block_tree(depths: tuple[int, ...], grid_size: int) -> _BlockTree:
+    return _BlockTree(depths, grid_size)
+
+
+def _record_columns(shots: tuple[int, ...], hits: tuple[int, ...]):
+    """Stacked counts ``[h; m]``, peaks ``[ln r; ln(1 - r)]`` at ``r = h / n``,
+    and the rows whose count is 0.
+
+    Callers silence numpy's divide-by-zero warning for ``ln 0``.
+    """
+    d = len(hits)
+    counts = np.array(hits + shots, dtype=np.float64).reshape(-1, 1)
+    r = counts[:d] / counts[d:]
+    counts[d:] -= counts[:d]
+    peak = np.concatenate((np.log(r), np.log1p(-r)))
+    zero = [j for j, h in enumerate(hits) if h == 0]
+    zero += [d + j for j, (n, h) in enumerate(zip(shots, hits)) if h == n]
+    return counts, peak, zero
+
+
+def _descending(bounds: np.ndarray):
+    """Blocks ``(k, bound)`` from the highest bound down, stopping at ``-inf``.
+
+    A bound of ``-inf`` means every column of the block is ``-inf``, which
+    beats no best. ``bounds`` is overwritten as blocks are taken.
+    """
+    while True:
+        k = int(bounds.argmax())
+        bound = bounds.item(k)
+        if bound == -math.inf:
+            return
+        bounds[k] = -math.inf
+        yield k, bound
 
 
 def grid_maximize(record: MeasurementRecord, grid_size: int) -> Estimate:
     """First maximizer of the record's log-likelihood over the angle grid."""
-    grid = _block_grid(tuple(e.depth for e in record.entries), grid_size)
-    hits = np.array([e.hits for e in record.entries], dtype=np.float64)
-    misses = np.array([e.shots - e.hits for e in record.entries], dtype=np.float64)
-    hits, misses = hits.reshape(-1, 1), misses.reshape(-1, 1)
-    bounds = grid.bounds(hits, misses)
-    first = int(np.argmax(bounds))
-    idx, value = grid.evaluate(first, hits, misses)
-    margin = _MARGIN * (abs(value) + sum(e.shots for e in record.entries))
-    for block in np.flatnonzero(bounds >= value - margin).tolist():
-        if block != first:
-            i, v = grid.evaluate(block, hits, misses)
-            if v > value or (v == value and i < idx):
-                idx, value = i, v
+    depths, shots, hits = tuple(zip(*record.entries)) or ((), (), ())
+    tree = _block_tree(depths, grid_size)
+    width = tree.width
+    # Column 0 at -inf is an exhaustive scan's answer when nothing beats it.
+    idx, value, floor, total = 0, -math.inf, -math.inf, sum(shots)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        counts, peak, zero = _record_columns(shots, hits)
+        for top, bound in _descending(_bounds(tree.lo, tree.hi, counts, peak, zero)):
+            if bound < floor:
+                break
+            leaf_bounds = _bounds(*tree.leaves(top), counts, peak, zero)
+            for leaf, bound in _descending(leaf_bounds):
+                if bound < floor:
+                    break
+                leaf += top * width
+                values = _depth_sum(counts * tree.rows(leaf), zero)
+                i = int(values.argmax())
+                v, i = values.item(i), leaf * width + i
+                # ties break toward the smaller index, as an exhaustive scan would
+                if v > value or (v == value and i < idx):
+                    idx, value = i, v
+                    floor = v - _MARGIN * (abs(v) + total)
     theta = idx * _angle_step(grid_size)
     return Estimate(theta, amplitude_from_angle(theta), idx, value, grid_size)
 

@@ -93,11 +93,21 @@ def _max_depth(max_depth: object) -> int:
     return max_depth
 
 
+def _per_epsilon_squared(numerator: float, weight: float, epsilon: float) -> float:
+    """``numerator / (weight * epsilon^2)``; an ``epsilon`` too small for a
+    finite result raises ``ValueError`` naming it (``epsilon^2`` may underflow)."""
+    denominator = weight * epsilon * epsilon
+    quotient = numerator / denominator if denominator > 0.0 else math.inf
+    if not math.isfinite(quotient):
+        raise ValueError(f"epsilon is too small for finite shots, got {epsilon!r}")
+    return quotient
+
+
 def required_fisher_info(epsilon: float, delta: float) -> float:
     """Fisher information needed for |estimate - a| <= epsilon w.p. 1 - delta."""
     epsilon = _epsilon(epsilon)
     z = erfinv(1.0 - _delta(delta))
-    return 2.0 * z * z / (epsilon * epsilon)
+    return _per_epsilon_squared(2.0 * z * z, 1.0, epsilon)
 
 
 def required_shots(
@@ -118,7 +128,8 @@ def required_shots(
     else:
         scale = positive_real(a, "a", 1.0) * (1.0 - a)
     z = erfinv(1.0 - delta)
-    raw = 2.0 * scale * z * z / (info_weight_squared(schedule) * epsilon * epsilon)
+    weight = info_weight_squared(schedule)
+    raw = _per_epsilon_squared(2.0 * scale * z * z, weight, epsilon)
     return max(1, ceil_guarded(raw))
 
 
@@ -179,7 +190,10 @@ def grid_points(multiplier: float, epsilon: float) -> int:
     """Angle-grid size ceil(multiplier / epsilon), >= 2, for any positive epsilon."""
     multiplier = positive_real(multiplier, "grid_multiplier")
     # not _epsilon: a precision curve's grid epsilon may exceed 0.5
-    return max(2, ceil_guarded(multiplier / positive_real(epsilon, "epsilon")))
+    raw = multiplier / positive_real(epsilon, "epsilon")
+    if not math.isfinite(raw):
+        raise ValueError(f"epsilon is too small for a finite grid, got {epsilon!r}")
+    return max(2, ceil_guarded(raw))
 
 
 @dataclass(frozen=True)

@@ -162,16 +162,19 @@ class TestSubprocessEntryPoints:
         ],
     )
     def test_bad_plan_input_is_refused_before_any_output(self, flags, field):
-        # the plan was printed with -5, and 1e-17 failed inside erfinv
+        # refused as argparse refuses a bad flag: usage, then one error line
+        # that names the field, exit code 2, and no traceback
         result = subprocess.run(
             [sys.executable, "-m", "amplest", *flags,
              "--max-depth", "4", "--epsilon", "0.01"],
             capture_output=True,
             text=True,
         )
-        assert result.returncode != 0
+        assert result.returncode == 2
+        assert result.stderr.startswith("usage: amplest")
         last = result.stderr.strip().splitlines()[-1]
-        assert last.startswith("ValueError: " + field), last
+        assert last.startswith("amplest: error: " + field), last
+        assert "Traceback" not in result.stderr
         assert result.stdout == ""
 
     def test_precision_curve_roundtrip(self, tmp_path):

@@ -5,6 +5,7 @@ import sys
 import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -14,9 +15,12 @@ from hypothesis import strategies as st
 import amplest.likelihood as likelihood
 from amplest.likelihood import (
     _MARGIN,
-    _BlockGrid,
-    _block_grid,
+    _BlockTree,
+    _block_tree,
+    _bounds,
+    _record_columns,
     _sin2_ranges,
+    _spans,
     depth_log_likelihood,
     grid_angles,
     grid_maximize,
@@ -198,8 +202,30 @@ def records(draw, max_depth: int = 60, max_shots: int = 2000) -> MeasurementReco
     return MeasurementRecord(tuple(entries))
 
 
+@lru_cache(maxsize=None)
+def depth50_plan(jittered: bool):
+    return make_plan(1e-4, 0.01, 50, jittered=jittered, grid_multiplier=30.0)
+
+
+@st.composite
+def depth50_records(draw) -> MeasurementRecord:
+    """d=50 region-scan records, plain or jittered: the k=50 band, all hit, all miss."""
+    plan = depth50_plan(draw(st.booleans()))
+    kind = draw(st.sampled_from(["band", "all_hit", "all_miss"]))
+    if kind == "band":
+        a = exceptional_values(50)[50] + draw(st.floats(-4e-4, 4e-4))
+        return draw_record(a, plan.schedule, plan.n_shot, draw(st.integers(0, 2**31)))
+    shots = plan.schedule.shots(plan.n_shot)
+    return MeasurementRecord(
+        tuple(
+            RecordEntry(d, n, n if kind == "all_hit" else 0)
+            for d, n in zip(plan.schedule.depths, shots)
+        )
+    )
+
+
 class TestBlockMaximizer:
-    """The block-bound maximizer against an exhaustive scan of every column."""
+    """The block-tree maximizer against an exhaustive scan of every column."""
 
     @given(rec=records(), grid_size=st.integers(2, 700))
     @settings(max_examples=400, deadline=None, suppress_health_check=SLOW)
@@ -211,24 +237,51 @@ class TestBlockMaximizer:
     def test_matches_exhaustive_scan_at_large_counts(self, rec, grid_size):
         assert_exhaustive_first_maximum(rec, grid_size)
 
+    @given(rec=depth50_records(), grid_size=st.sampled_from([2, 3, 101, 299_993]))
+    @settings(max_examples=60, deadline=None, suppress_health_check=SLOW)
+    def test_matches_exhaustive_scan_at_depth_50(self, rec, grid_size):
+        # 299993 is prime: its last top block (3718 columns) and last leaf
+        # (33 columns) are short; 101 ends in a leaf of width + 1 columns
+        assert_exhaustive_first_maximum(rec, grid_size)
+
     @given(rec=records(), grid_size=st.integers(2, 400))
     @settings(max_examples=200, deadline=None, suppress_health_check=SLOW)
     def test_block_bounds_cover_every_column(self, rec, grid_size):
-        # the scalar reference, column by column; the bound may fall short
-        # of a column only by the maximizer's float margin
-        grid = _BlockGrid(tuple(e.depth for e in rec.entries), grid_size)
-        hits = [e.hits for e in rec.entries]
-        misses = [e.shots - e.hits for e in rec.entries]
-        bounds = grid.bounds(
-            np.array(hits, dtype=np.float64).reshape(-1, 1),
-            np.array(misses, dtype=np.float64).reshape(-1, 1),
-        )
+        # the scalar reference, column by column, on both levels; the bound
+        # may fall short of a column only by the maximizer's float margin
+        tree = _BlockTree(tuple(e.depth for e in rec.entries), grid_size)
         thetas = grid_angles(grid_size)
-        shots = sum(hits) + sum(misses)
-        for block, bound in enumerate(bounds):
-            columns = range(grid.edges[block], grid.edges[block + 1] + 1)
-            best = max(record_log_likelihood(float(thetas[i]), rec) for i in columns)
-            assert bound >= best - _MARGIN * (abs(best) + shots)
+        shots = sum(e.shots for e in rec.entries)
+        for lo, hi, first, last in levels(tree):
+            for k, bound in enumerate(level_bounds(lo, hi, rec)):
+                columns = thetas[first[k] : last[k] + 1].tolist()
+                best = max(record_log_likelihood(theta, rec) for theta in columns)
+                assert bound >= best - _MARGIN * (abs(best) + shots)
+
+    @pytest.mark.parametrize(
+        "grid_size", [2, 3, 4, 5, 9, 10, 17, 26, 28, 101, 700, 3000, 299_993]
+    )
+    def test_leaves_tile_the_grid(self, grid_size):
+        # each column in exactly one leaf, in order; top block t holds
+        # leaves t * width onwards; at most width blocks on each level
+        tree = _BlockTree((0, 3), grid_size)
+        width = tree.width
+        assert (width - 1) ** 3 <= grid_size - 1 < width**3
+        assert len(tree.first) <= width
+        assert tree.first[0] == 0 and tree.last[-1] == grid_size - 1
+        assert np.array_equal(tree.first[1:], tree.last[:-1] + 1)
+        leaf = 0
+        for t in range(len(tree.first)):
+            assert leaf == t * width
+            first, last = _spans(int(tree.first[t]), int(tree.last[t]), width)
+            assert first[0] == tree.first[t] and last[-1] == tree.last[t]
+            assert len(first) <= width and (last >= first + 1).all()
+            assert tree.leaves(t)[0].shape == (4, len(first))
+            for a, b in zip(first.tolist(), last.tolist()):
+                assert a == leaf * width
+                assert tree.rows(leaf).shape == (4, b - a + 1)
+                leaf += 1
+        assert (leaf - 1) * width < grid_size - 1 <= leaf * width
 
     @pytest.mark.parametrize("grid_size", [2, 3, 4, 5, 10, 17, 66, 101, 700])
     def test_degenerate_records(self, grid_size):
@@ -250,16 +303,19 @@ class TestBlockMaximizer:
             rec = draw_record(a, plan.schedule, plan.n_shot, 11 + i)
             assert_exhaustive_first_maximum(rec, plan.grid_size)
 
-    def test_hundred_million_point_grid_stays_small(self):
-        plan = make_plan(1e-4, 0.01, 50)
+    @pytest.mark.parametrize("jittered", [False, True])
+    def test_hundred_million_point_grid_stays_small(self, jittered):
+        plan = make_plan(1e-4, 0.01, 50, jittered=jittered)
         rec = draw_record(0.3, plan.schedule, plan.n_shot, 5)
         grid_size = 10**8
+        _block_tree.cache_clear()
         tracemalloc.start()
         try:
             est = grid_maximize(rec, grid_size)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+            _block_tree.cache_clear()
         assert peak < 8 * 2**20
         assert abs(est.a_hat - 0.3) < 1e-3
         # the maximum holds on a window of 20001 columns around it
@@ -268,6 +324,48 @@ class TestBlockMaximizer:
         window = exhaustive_values(rec, np.arange(lo, lo + 20_001) * step)
         assert int(np.argmax(window)) == 10_000
         assert est.log_likelihood == window[10_000]
+
+
+def columns_of(rec: MeasurementRecord):
+    """The maximizer's stacked counts, peak logs and zero-count rows."""
+    with np.errstate(divide="ignore"):
+        return _record_columns(
+            tuple(e.shots for e in rec.entries), tuple(e.hits for e in rec.entries)
+        )
+
+
+def levels(tree: _BlockTree):
+    """``(lo, hi, first, last)`` of the top level, then of each top block's leaves."""
+    yield tree.lo, tree.hi, tree.first, tree.last
+    for t in range(len(tree.first)):
+        first, last = _spans(int(tree.first[t]), int(tree.last[t]), tree.width)
+        yield *tree.leaves(t), first, last
+
+
+def level_bounds(lo: np.ndarray, hi: np.ndarray, rec: MeasurementRecord) -> np.ndarray:
+    with np.errstate(invalid="ignore"):
+        return _bounds(lo, hi, *columns_of(rec))
+
+
+def clip_and_log_bounds(
+    tree: _BlockTree, first: np.ndarray, last: np.ndarray, rec: MeasurementRecord
+) -> np.ndarray:
+    """The block bound as sum_j f_j(clip(h_j / n_j, p_lo, p_hi)), logs of the clip.
+
+    The reference for the maximizer's bound pass on one level: logs are
+    taken of every clipped value, zero counts drop out, and depths are added
+    in order.
+    """
+    hits, misses = count_columns(rec)
+    p_lo, p_hi = _sin2_ranges(tree.factors, first, last, tree.step)
+    p = np.clip(hits / (hits + misses), p_lo, p_hi)
+    total = np.zeros(p.shape[1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(p.shape[0]):
+            good = np.where(hits[j] > 0, hits[j] * np.log(p[j]), 0.0)
+            bad = np.where(misses[j] > 0, misses[j] * np.log1p(-p[j]), 0.0)
+            total = total + (good + bad)
+    return total
 
 
 def count_columns(rec: MeasurementRecord) -> tuple[np.ndarray, np.ndarray]:
@@ -279,36 +377,31 @@ def count_columns(rec: MeasurementRecord) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def clip_and_log_bounds(grid: _BlockGrid, rec: MeasurementRecord) -> np.ndarray:
-    """The block bound as sum_j f_j(clip(h_j / n_j, p_lo, p_hi)), logs of the clip.
+def entry_bytes(tree: _BlockTree) -> tuple[int, int]:
+    """Bytes of the widest entry of ``rows`` and of ``leaves``.
 
-    The reference for the maximizer's bound pass: logs are taken of every
-    clipped value, zero counts drop out, and depths are added in order.
+    A leaf's stacked rows hold 2D rows of at most ``width + 1`` columns; a
+    top block's leaf limits hold two 2D-row arrays of at most ``width``.
     """
-    hits, misses = count_columns(rec)
-    p_lo, p_hi = _sin2_ranges(grid.factors, grid.edges, grid.step)
-    p = np.clip(hits / (hits + misses), p_lo, p_hi)
-    total = np.zeros(p.shape[1])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for j in range(p.shape[0]):
-            good = np.where(hits[j] > 0, hits[j] * np.log(p[j]), 0.0)
-            bad = np.where(misses[j] > 0, misses[j] * np.log1p(-p[j]), 0.0)
-            total = total + (good + bad)
-    return total
+    depths = max(1, tree.factors.size)
+    return 16 * depths * (tree.width + 1), 32 * depths * tree.width
 
 
-def cached_row_bytes(grid: _BlockGrid) -> int:
-    """Bytes the row cache may hold: its blocks, each at the widest block's size."""
-    widest = int(np.diff(grid.edges).max()) + 1
-    return grid.rows.cache_info().currsize * 2 * 8 * grid.factors.size * widest
+def cached_bytes(tree: _BlockTree) -> tuple[int, int]:
+    """Bytes ``rows`` and ``leaves`` may hold: entries at the widest size."""
+    row_bytes, leaf_bytes = entry_bytes(tree)
+    return (
+        tree.rows.cache_info().currsize * row_bytes,
+        tree.leaves.cache_info().currsize * leaf_bytes,
+    )
 
 
 @pytest.fixture
 def fresh_grids():
-    """Grids built inside the test, with the row-cache budget it sets."""
-    _block_grid.cache_clear()
+    """Trees built inside the test, with the cache budget it sets."""
+    _block_tree.cache_clear()
     yield
-    _block_grid.cache_clear()
+    _block_tree.cache_clear()
 
 
 def spread_records(count: int, seed: int) -> tuple[list[MeasurementRecord], int]:
@@ -324,7 +417,7 @@ def spread_records(count: int, seed: int) -> tuple[list[MeasurementRecord], int]
 
 
 class TestCachedBoundsAndRows:
-    """The bound pass over cached edge logs and the cache of evaluated rows."""
+    """Both bound passes over cached edge logs, and the caches of leaves and rows."""
 
     @given(
         rec=st.one_of(records(), records(max_depth=0)),
@@ -332,9 +425,19 @@ class TestCachedBoundsAndRows:
     )
     @settings(max_examples=300, deadline=None, suppress_health_check=SLOW)
     def test_bounds_equal_clip_and_log(self, rec, grid_size):
-        grid = _BlockGrid(tuple(e.depth for e in rec.entries), grid_size)
-        expected = clip_and_log_bounds(grid, rec)
-        assert np.array_equal(grid.bounds(*count_columns(rec)), expected)
+        tree = _BlockTree(tuple(e.depth for e in rec.entries), grid_size)
+        for lo, hi, first, last in levels(tree):
+            expected = clip_and_log_bounds(tree, first, last, rec)
+            assert np.array_equal(level_bounds(lo, hi, rec), expected)
+
+    @given(rec=depth50_records(), grid_size=st.sampled_from([2, 3, 101, 299_993]))
+    @settings(max_examples=30, deadline=None, suppress_health_check=SLOW)
+    def test_bounds_equal_clip_and_log_at_depth_50(self, rec, grid_size):
+        # up to 27 depths, so one-block levels (G = 2, 3) sum over many rows
+        tree = _BlockTree(tuple(e.depth for e in rec.entries), grid_size)
+        for lo, hi, first, last in levels(tree):
+            expected = clip_and_log_bounds(tree, first, last, rec)
+            assert np.array_equal(level_bounds(lo, hi, rec), expected)
 
     @pytest.mark.parametrize("grid_size", [2, 5, 66, 700, 3001])
     @pytest.mark.parametrize(
@@ -348,114 +451,142 @@ class TestCachedBoundsAndRows:
     )
     def test_bounds_equal_clip_and_log_at_exact_edges(self, rec, grid_size):
         # every grid has p_lo = 0 cells (theta = 0) and p_hi = 1 cells
-        # (theta = pi/2); zero hits or misses drop terms over them
-        grid = _BlockGrid(tuple(e.depth for e in rec.entries), grid_size)
-        p_lo, p_hi = _sin2_ranges(grid.factors, grid.edges, grid.step)
-        assert (p_lo == 0.0).any() and (p_hi == 1.0).any()
-        expected = clip_and_log_bounds(grid, rec)
-        assert np.array_equal(grid.bounds(*count_columns(rec)), expected)
+        # (theta = pi/2) on both levels; zero hits or misses drop terms there
+        tree = _BlockTree(tuple(e.depth for e in rec.entries), grid_size)
+        exact = []
+        for lo, hi, first, last in levels(tree):
+            p_lo, p_hi = _sin2_ranges(tree.factors, first, last, tree.step)
+            exact.append(((p_lo == 0.0).any(), (p_hi == 1.0).any()))
+            expected = clip_and_log_bounds(tree, first, last, rec)
+            assert np.array_equal(level_bounds(lo, hi, rec), expected)
+        # the top level, and the leaves of the first and of the last top block
+        assert exact[0] == (True, True)
+        assert exact[1][0] and exact[-1][1]
 
     @pytest.mark.parametrize("budget", ["default", "one block", "last block", "none"])
     def test_any_order_and_budget_give_the_same_estimates(
         self, budget, monkeypatch, fresh_grids
     ):
-        # 3000 columns in blocks of 55 and a last one of 30 (the a = 1 run's);
-        # the cache holds as many blocks of 56 columns as fit in the budget
+        # 3000 columns: 14 top blocks of 15 leaves of 15 columns, the last
+        # top block 5 leaves; each cache holds as many entries of the widest
+        # size (16 columns of rows, 15 leaves of limits) as fit in the budget
         recs, grid_size = spread_records(80, 21)
         in_order = [grid_maximize(rec, grid_size) for rec in recs]
-        row_bytes = 2 * 8 * len(recs[0].entries)
+        row_bytes, leaf_bytes = entry_bytes(
+            _BlockTree(tuple(e.depth for e in recs[0].entries), grid_size)
+        )
         limit = {
             "default": likelihood._ROW_CACHE_BYTES,
-            "one block": 56 * row_bytes,
-            "last block": 30 * row_bytes,
-            "none": 29 * row_bytes,
+            # fits one widest leaf's limits and one widest leaf's rows
+            "one block": leaf_bytes,
+            # fits the last leaf's rows, 15 columns, not the widest's 16
+            "last block": 15 * row_bytes // 16,
+            "none": 14 * row_bytes // 16,
         }[budget]
         monkeypatch.setattr(likelihood, "_ROW_CACHE_BYTES", limit)
-        _block_grid.cache_clear()
-        grid = _block_grid(tuple(e.depth for e in recs[0].entries), grid_size)
+        _block_tree.cache_clear()
+        tree = _block_tree(tuple(e.depth for e in recs[0].entries), grid_size)
         order = list(range(len(recs)))
         random.Random(5).shuffle(order)
         for i in order:
             assert grid_maximize(recs[i], grid_size) == in_order[i]
-            assert cached_row_bytes(grid) <= limit
-        held = grid.rows.cache_info().currsize
+            assert max(cached_bytes(tree)) <= limit
+        held = (tree.rows.cache_info().currsize, tree.leaves.cache_info().currsize)
         assert {
-            "default": held > 1,
-            "one block": held == 1,
-            # below the widest block's size nothing is cached
-            "last block": held == 0,
-            "none": held == 0,
+            "default": min(held) > 1,
+            "one block": held == (1, 1),
+            # below the widest entry's size nothing is cached
+            "last block": held == (0, 0),
+            "none": held == (0, 0),
         }[budget]
 
     @pytest.mark.parametrize(
-        "max_depth, epsilon, jittered, multiplier, blocks",
+        "max_depth, epsilon, jittered, multiplier, leaves",
         [
             (16, 1e-3, False, 3.0, "all"),
             (16, 1e-3, True, 3.0, "all"),
             (50, 1e-4, True, 30.0, 2),
+            # G = 6e6: the old sqrt(G)-wide blocks were too wide to cache
+            (50, 5e-6, True, 30.0, 1),
         ],
     )
     def test_benchmark_grids_keep_their_hot_blocks(
-        self, max_depth, epsilon, jittered, multiplier, blocks
+        self, max_depth, epsilon, jittered, multiplier, leaves
     ):
-        # sweep and curve runs at d=16 (G = 3000) revisit every block; a
+        # sweep and curve runs at d=16 (G = 3000) revisit every leaf; a
         # d=50 region scan (G = 300000) revisits the two around its band
         plan = make_plan(
             epsilon, 0.01, max_depth, jittered=jittered, grid_multiplier=multiplier
         )
-        rec = draw_record(0.3, plan.schedule, plan.n_shot, 1)
-        grid = _BlockGrid(tuple(e.depth for e in rec.entries), plan.grid_size)
-        wanted = len(grid.edges) - 1 if blocks == "all" else blocks
-        assert grid.rows.cache_info().maxsize >= wanted
+        tree = _BlockTree(plan.schedule.depths, plan.grid_size)
+        tops = len(tree.first)
+        if leaves == "all":
+            assert tree.leaves.cache_info().maxsize >= tops
+            assert tree.rows.cache_info().maxsize * tree.width >= plan.grid_size
+        else:
+            assert tree.leaves.cache_info().maxsize >= leaves
+            assert tree.rows.cache_info().maxsize >= leaves
 
     def test_cached_rows_take_no_sin_or_log(self, monkeypatch, fresh_grids):
         calls = []
 
-        def counted(angles):
-            calls.append(angles.shape)
-            return log_probs(angles)
+        def counted(name, fn):
+            def call(*args):
+                calls.append(name)
+                return fn(*args)
 
-        log_probs = likelihood._log_probs
-        monkeypatch.setattr(likelihood, "_log_probs", counted)
+            return call
+
+        for name in ("_log_probs", "_log_limits"):
+            wrapped = counted(name, getattr(likelihood, name))
+            monkeypatch.setattr(likelihood, name, wrapped)
         plan = make_plan(1e-4, 0.01, 50, jittered=True, grid_multiplier=30.0)
         rec = draw_record(0.3, plan.schedule, plan.n_shot, 1)
         estimate = grid_maximize(rec, plan.grid_size)
         computed = len(calls)
-        assert computed >= 1
+        # the top level, at least one top block's leaves and one leaf's rows
+        assert calls.count("_log_limits") >= 2 and "_log_probs" in calls
         assert grid_maximize(rec, plan.grid_size) == estimate
         assert len(calls) == computed
 
     def test_rows_are_read_only(self, fresh_grids):
         rec = record((0, 10, 4), (2, 10, 7))
         grid_maximize(rec, 101)
-        grid = _block_grid((0, 2), 101)
-        assert grid.rows.cache_info().currsize >= 1
-        for block in range(len(grid.edges) - 1):
-            for row in grid.rows(block):
-                with pytest.raises(ValueError):
-                    row[0, 0] = 0.0
+        tree = _block_tree((0, 2), 101)
+        assert tree.rows.cache_info().currsize >= 1
+        assert tree.leaves.cache_info().currsize >= 1
+        arrays = [tree.lo, tree.hi]
+        for t in range(len(tree.first)):
+            arrays += tree.leaves(t)
+        for leaf in range(-(-100 // tree.width)):
+            arrays.append(tree.rows(leaf))
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array[0, 0] = 0.0
 
     def test_dropped_grid_is_freed_without_the_gc(self):
-        # the row cache refers to the grid's arrays, not to the grid
-        grid = _BlockGrid((0, 1, 2), 101)
-        grid.evaluate(0, *count_columns(record((0, 10, 4), (1, 10, 7), (2, 10, 1))))
-        ref = weakref.ref(grid)
+        # the caches refer to the tree's arrays, not to the tree
+        tree = _BlockTree((0, 1, 2), 101)
+        tree.leaves(0)
+        tree.rows(0)
+        ref = weakref.ref(tree)
         gc.disable()
         try:
-            del grid
+            del tree
             assert ref() is None
         finally:
             gc.enable()
 
     def test_threads_share_one_grid(self, monkeypatch, fresh_grids):
-        # more threads than cores on one grid whose cache holds one block,
-        # so that threads evict each other's rows between calls
+        # more threads than cores on one tree whose caches hold one entry
+        # each, so that threads evict each other's leaves and rows
         recs, grid_size = spread_records(96, 33)
         serial = [grid_maximize(rec, grid_size) for rec in recs]
-        budget = 56 * 2 * 8 * len(recs[0].entries)  # 56 columns of ln p, ln(1 - p)
+        depths = tuple(e.depth for e in recs[0].entries)
+        budget = entry_bytes(_BlockTree(depths, grid_size))[1]
         monkeypatch.setattr(likelihood, "_ROW_CACHE_BYTES", budget)
-        _block_grid.cache_clear()
-        grid = _block_grid(tuple(e.depth for e in recs[0].entries), grid_size)
+        _block_tree.cache_clear()
+        tree = _block_tree(depths, grid_size)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -467,8 +598,9 @@ class TestCachedBoundsAndRows:
         finally:
             sys.setswitchinterval(interval)
         assert threaded == serial * 4
-        assert grid.rows.cache_info().currsize == 1
-        assert cached_row_bytes(grid) <= budget
+        assert tree.rows.cache_info().currsize == 1
+        assert tree.leaves.cache_info().currsize == 1
+        assert max(cached_bytes(tree)) <= budget
 
 
 class TestRunMlqae:

@@ -322,8 +322,11 @@ _GOOD = {
     "grid_multiplier": 3.0,
 }
 _NOT_POSITIVE_REALS = [math.nan, math.inf, -math.inf, True, "0.1", 0, -0.1]
+# epsilon^2 underflows to a subnormal at 1e-160 and to 0 at 1e-170, and
+# 3 / 1e-320 overflows: no finite shot count or grid exists for them
+_TINY_EPSILONS = [1e-160, 1e-170, 1e-320]
 _BAD = {
-    "epsilon": _NOT_POSITIVE_REALS + [0.5, 0.7],
+    "epsilon": _NOT_POSITIVE_REALS + [0.5, 0.7] + _TINY_EPSILONS,
     "delta": _NOT_POSITIVE_REALS + [1e-17],
     "max_depth": [2.5, True, -1],
     "jittered": ["no", 1],
@@ -356,7 +359,7 @@ _CASES = [
     for entry, (_, reads) in _ENTRIES.items()
     for field in sorted(reads)
     for value in _BAD[field]
-    if not (entry == "grid_points" and value in (0.5, 0.7))
+    if not (entry == "grid_points" and value in (0.5, 0.7, 1e-160, 1e-170))
 ]
 
 
