@@ -1,4 +1,5 @@
-"""Small numeric helpers shared across modules."""
+"""Small numeric helpers, and the readers that judge numeric input: each returns
+a plain number or raises ``ValueError`` naming the field."""
 
 from __future__ import annotations
 
@@ -15,14 +16,19 @@ def ceil_guarded(x: float) -> int:
     return math.ceil(x - abs(x) * 1e-12)
 
 
-def json_int(value: object, field: str) -> int:
-    """``value`` as an int; bools, floats and strings raise, naming ``field``.
+def json_int(value: object, field: str, least: int | None = None) -> int:
+    """``value`` as a plain int >= ``least``; else ``ValueError`` naming ``field``.
 
-    ``int()`` would silently truncate 10.9 to 10 and turn True or "2" into
-    numbers, so a mistyped JSON file would load as a different record.
+    The one reader of counts, indices, depths, sizes and seeds. Numpy integers
+    pass; bools, floats and strings raise, as ``int()`` would turn 10.9, True
+    or "2" into numbers. A plain int costs a type test and a comparison.
     """
+    if type(value) is int and (least is None or value >= least):
+        return value
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise ValueError(f"{field} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{field} must be at least {least}, got {value}")
     return int(value)
 
 
@@ -33,3 +39,14 @@ def positive_real(value: object, field: str, upper: float = math.inf) -> float:
         return float(value)
     below = f" below {upper:g}" if upper < math.inf else ""
     raise ValueError(f"{field} must be a finite positive number{below}, got {value!r}")
+
+
+def unit_real(value: object, field: str) -> float:
+    """``value`` as a float in [0, 1], the one reader of amplitudes and
+    probabilities; bools, non-reals and NaN raise. A plain float costs a type
+    test and two comparisons."""
+    if type(value) is float and 0.0 <= value <= 1.0:
+        return value
+    if isinstance(value, Real) and not isinstance(value, bool) and 0 <= value <= 1:
+        return float(value)
+    raise ValueError(f"{field} must be a real number in [0, 1], got {value!r}")

@@ -39,10 +39,10 @@ import os
 import pickle
 import signal
 from dataclasses import dataclass, field
-from numbers import Number, Real
+from numbers import Number
 from typing import Iterable, NoReturn, Sequence
 
-from ._util import ceil_guarded, json_int
+from ._util import ceil_guarded, json_int, unit_real
 from .likelihood import grid_maximize
 from .planner import (
     Plan,
@@ -134,15 +134,13 @@ class ExperimentConfig:
         )
         object.__setattr__(self, "jittered", bool(self.jittered))
         object.__setattr__(self, "plan", plan)
-        ints = ["runs_per_point", "base_seed"]
+        ints = {"runs_per_point": 1, "base_seed": None}
         if self.k_index is not None:
-            ints.append("k_index")
+            ints["k_index"] = None
         if isinstance(self.amplitudes, Number):
-            ints.append("amplitudes")
-        for name in ints:  # stored as ints: ``derive_key`` takes no numpy integer
-            object.__setattr__(self, name, json_int(getattr(self, name), name))
-        if self.runs_per_point < 1:
-            raise ValueError("runs_per_point must be at least 1")
+            ints["amplitudes"] = 2
+        for name, least in ints.items():  # ``derive_key`` takes no numpy integer
+            object.__setattr__(self, name, json_int(getattr(self, name), name, least))
         for name, unused in (
             ("runs_per_point", mode == "sweep" and self.runs_per_point != 1),
             ("n_shot_list", mode != "precision_curve" and self.n_shot_list is not None),
@@ -153,11 +151,9 @@ class ExperimentConfig:
         grid_size = plan.grid_size
         if mode == "precision_curve":
             shots = self.n_shot_list if isinstance(self.n_shot_list, Iterable) else ()
-            shots = tuple(json_int(n, "n_shot_list") for n in shots)
+            shots = tuple(json_int(n, "n_shot_list", 1) for n in shots)
             if not shots:
                 raise ValueError("precision_curve needs a non-empty n_shot_list")
-            if min(shots) < 1:
-                raise ValueError(f"n_shot_list entries must be at least 1: {shots}")
             object.__setattr__(self, "n_shot_list", shots)
             eps_min = _precision_from_shots(max(shots), plan.delta, plan.schedule)
             grid_size = grid_points(self.grid_multiplier, eps_min)
@@ -194,16 +190,11 @@ def _amplitudes(config: ExperimentConfig) -> list[float]:
         values = config.amplitudes
         if isinstance(values, str) or not isinstance(values, Iterable):
             raise ValueError(f"amplitudes must be a count or a list, got {values!r}")
-        values = list(values)
+        values = [unit_real(a, "amplitudes") for a in values]
         if not values:
             raise ValueError("amplitudes must list at least one amplitude")
-        for a in values:
-            if isinstance(a, bool) or not (isinstance(a, Real) and 0 <= a <= 1):
-                raise ValueError(f"amplitudes must lie in [0, 1], got {a!r}")
-        return [float(a) for a in values]
+        return values
     count = config.amplitudes
-    if count < 2:
-        raise ValueError(f"amplitudes must count at least 2 points, got {count}")
     if config.mode != "exceptional_region":
         return [i / (count - 1) for i in range(count)]
     if config.k_index is None:

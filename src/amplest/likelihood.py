@@ -54,6 +54,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
+from ._util import json_int
 from .planner import Plan
 from .sampler import MeasurementRecord, amplitude_from_angle, draw_record, good_prob
 
@@ -123,8 +124,7 @@ def _angle_step(grid_size: int) -> float:
 
 def grid_angles(grid_size: int) -> np.ndarray:
     """``grid_size`` evenly spaced angles covering [0, pi/2] inclusive."""
-    if grid_size < 2:
-        raise ValueError("grid_size must be at least 2")
+    grid_size = json_int(grid_size, "grid_size", 2)
     return np.arange(grid_size) * _angle_step(grid_size)
 
 
@@ -262,8 +262,6 @@ class _BlockTree:
     """
 
     def __init__(self, depths: tuple[int, ...], grid_size: int):
-        if grid_size < 2:
-            raise ValueError("grid_size must be at least 2")
         self.width = _icbrt(grid_size - 1) + 1
         self.first, self.last = _spans(0, grid_size - 1, self.width**2)
         self.step = _angle_step(grid_size)
@@ -324,6 +322,7 @@ def _descending(bounds: np.ndarray):
 
 def grid_maximize(record: MeasurementRecord, grid_size: int) -> Estimate:
     """First maximizer of the record's log-likelihood over the angle grid."""
+    grid_size = json_int(grid_size, "grid_size", 2)
     depths, shots, hits = tuple(zip(*record.entries)) or ((), (), ())
     tree = _block_tree(depths, grid_size)
     width = tree.width

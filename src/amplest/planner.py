@@ -86,13 +86,6 @@ def _delta(delta: object) -> float:
     return delta
 
 
-def _max_depth(max_depth: object) -> int:
-    max_depth = json_int(max_depth, "max_depth")
-    if max_depth < 0:
-        raise ValueError(f"max_depth must be at least 0, got {max_depth}")
-    return max_depth
-
-
 def _per_epsilon_squared(numerator: float, weight: float, epsilon: float) -> float:
     """``numerator / (weight * epsilon^2)``; an ``epsilon`` too small for a
     finite result raises ``ValueError`` naming it (``epsilon^2`` may underflow)."""
@@ -151,14 +144,14 @@ def speedup_factor(schedule: Schedule) -> float:
 def fisher_information(a: float, schedule: Schedule, n_shot: int) -> float:
     """Fisher information about ``a`` in a record of ``n_shot`` shots per depth."""
     positive_real(a, "a", 1.0)
+    n_shot = json_int(n_shot, "n_shot", 1)
     return n_shot * info_weight_squared(schedule) / (a * (1.0 - a))
 
 
 def average_error(a: float, schedule: Schedule, n_shot: int) -> float:
     """Root-mean-square estimation error under the Gaussian approximation."""
     positive_real(a, "a", 1.0)
-    if n_shot < 1:
-        raise ValueError("n_shot must be at least 1")
+    n_shot = json_int(n_shot, "n_shot", 1)
     return math.sqrt(a * (1.0 - a) / n_shot) / info_weight(schedule)
 
 
@@ -169,7 +162,7 @@ def exceptional_values(max_depth: int) -> list[float]:
     Near them the log-likelihood develops singularities and the planned
     shot count stops being sufficient.
     """
-    max_depth = _max_depth(max_depth)
+    max_depth = json_int(max_depth, "max_depth", 0)
     return [_exceptional_value(max_depth, k) for k in range(2 * max_depth + 2)]
 
 
@@ -181,8 +174,7 @@ def _exceptional_value(max_depth: int, k: int) -> float:
 def single_shot_fisher_info(a: float, depth: int) -> float:
     """Fisher information of one shot at one depth: (2d+1)^2 / (a(1-a))."""
     positive_real(a, "a", 1.0)
-    if depth < 0:
-        raise ValueError("depth must be non-negative")
+    depth = json_int(depth, "depth", 0)
     return (2 * depth + 1) ** 2 / (a * (1.0 - a))
 
 
@@ -231,7 +223,8 @@ def make_plan(
     count is computed from the jittered information weight. Every argument
     is judged, read or not; a bad one raises ``ValueError`` naming it.
     """
-    epsilon, delta, max_depth = _epsilon(epsilon), _delta(delta), _max_depth(max_depth)
+    epsilon, delta = _epsilon(epsilon), _delta(delta)
+    max_depth = json_int(max_depth, "max_depth", 0)
     positive_real(spread_coeff, "spread_coeff")
     if not isinstance(jittered, (bool, np.bool_)):
         raise ValueError(f"jittered must be a bool, got {jittered!r}")

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._util import json_int
+from ._util import json_int, unit_real
 from .rng import record_keys, thread_substreams
 from .schedules import Schedule
 
@@ -84,9 +84,7 @@ class MeasurementRecord:
 
 def angle_from_amplitude(a: float) -> float:
     """theta = arcsin(sqrt(a)) in [0, pi/2]."""
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"amplitude must lie in [0, 1], got {a}")
-    return math.asin(math.sqrt(a))
+    return math.asin(math.sqrt(unit_real(a, "a")))
 
 
 def amplitude_from_angle(theta: float) -> float:
@@ -97,18 +95,17 @@ def amplitude_from_angle(theta: float) -> float:
 
 def good_prob(theta: float, depth: int) -> float:
     """Probability of a good outcome at ``depth``: sin^2((2*depth+1)*theta)."""
-    if depth < 0:
-        raise ValueError("depth must be non-negative")
-    s = math.sin((2 * depth + 1) * theta)
+    s = math.sin((2 * json_int(depth, "depth", 0) + 1) * theta)
     return s * s
 
 
 def binomial_draw(n: int, p: float, rng: np.random.Generator) -> int:
     """One Binomial(n, p) draw; exact at the endpoints p = 0 and p = 1."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    return _binomial(json_int(n, "n", 0), unit_real(p, "p"), rng)
+
+
+def _binomial(n: int, p: float, rng: np.random.Generator) -> int:
+    """:func:`binomial_draw` of a count and a probability already judged."""
     if p == 0.0:
         return 0
     if p == 1.0:
@@ -128,12 +125,14 @@ def draw_record(
     draws from the substream (seed, j), so entries are independent of the
     order in which they are produced.
     """
+    a, seed = unit_real(a, "a"), json_int(seed, "seed")
     depths = schedule.depths
     shots = schedule.shots(n_shot)
     theta = angle_from_amplitude(a)
     streams = thread_substreams()
     entries = []
     for key, depth, n in zip(record_keys(seed, len(depths)), depths, shots):
-        hits = binomial_draw(n, good_prob(theta, depth), streams.open_key(key))
+        # n comes from a judged n_shot, and p, a sin^2, lies in [0, 1]
+        hits = _binomial(n, good_prob(theta, depth), streams.open_key(key))
         entries.append(RecordEntry(depth, n, hits))
     return MeasurementRecord(tuple(entries), a_true=a, seed=seed)

@@ -51,7 +51,8 @@ def round_half_away(x: float) -> int:
 class Schedule:
     """An ordered list of Grover depths with per-depth shot fractions.
 
-    ``fractions`` are exact rationals so that jitter-group sums can be
+    ``depths`` are ints >= 0 and ``fractions`` exact rationals (a ``Fraction``
+    or an int, stored as ``Fraction``) so that jitter-group sums can be
     checked without drift; they are 1 everywhere for unjittered kinds.
     ``nu`` is the geometric base of an ``exp_nu`` schedule, ``spread_coeff``
     the jitter coefficient, and ``beta`` the polynomial depth-exponent
@@ -72,12 +73,17 @@ class Schedule:
         for field in ("nu", "spread_coeff", "beta"):
             if getattr(self, field) is not None:
                 positive_real(getattr(self, field), field)
+        depths = tuple(json_int(d, "depths", 0) for d in self.depths)
+        fractions = tuple(
+            f if isinstance(f, Fraction) else Fraction(json_int(f, "fractions"))
+            for f in self.fractions
+        )
+        object.__setattr__(self, "depths", depths)
+        object.__setattr__(self, "fractions", fractions)
         if not self.depths:
             raise ValueError("schedule must contain at least one depth")
         if len(self.depths) != len(self.fractions):
             raise ValueError("depths and fractions must have equal length")
-        if any(d < 0 for d in self.depths):
-            raise ValueError("depths must be non-negative")
         pairs = zip(self.depths, self.depths[1:])
         if self.kind == "poly":
             if any(b < a for a, b in pairs):
@@ -111,10 +117,6 @@ class Schedule:
                 members = list(group)
                 yield members[0], members[-1] + 1
 
-    @property
-    def max_depth(self) -> int:
-        return self.depths[-1]
-
     def shots(self, n_shot: int) -> tuple[int, ...]:
         """Shots each depth performs for ``n_shot`` planned shots.
 
@@ -122,8 +124,7 @@ class Schedule:
         rational arithmetic so the ceiling is never off by one. Computed once
         per ``n_shot`` and kept on the schedule.
         """
-        if n_shot < 1:
-            raise ValueError("n_shot must be at least 1")
+        n_shot = json_int(n_shot, "n_shot", 1)
         shots = self._shots.get(n_shot)
         if shots is None:
             shots = tuple(math.ceil(f * n_shot) for f in self.fractions)
@@ -152,7 +153,7 @@ class Schedule:
     @classmethod
     def from_dict(cls, data: dict) -> "Schedule":
         return cls(
-            depths=tuple(json_int(d, "depths") for d in data["depths"]),
+            depths=data["depths"],
             fractions=tuple(
                 Fraction(json_int(n, "fractions"), json_int(d, "fractions"))
                 for n, d in data["fractions"]
@@ -170,8 +171,7 @@ def _unit_fractions(n: int) -> tuple[Fraction, ...]:
 
 def exponential_schedule(num_depths: int) -> Schedule:
     """Schedule {0, 1, 2, 4, ..., 2^(q-2)} with ``q = num_depths`` entries."""
-    if num_depths < 2:
-        raise ValueError("exponential schedule needs at least 2 depths")
+    num_depths = json_int(num_depths, "num_depths", 2)
     depths = (0,) + tuple(2 ** (j - 1) for j in range(1, num_depths))
     return Schedule(depths, _unit_fractions(num_depths), kind="exp")
 
@@ -184,8 +184,7 @@ def exponential_schedule_to_depth(max_depth: int) -> Schedule:
     while hitting ``max_depth`` exactly. Ties prefer the smaller m (larger
     base), which uses fewer depths. ``max_depth = 1`` degenerates to {0, 1}.
     """
-    if max_depth < 1:
-        raise ValueError("max_depth must be at least 1")
+    max_depth = json_int(max_depth, "max_depth", 1)
     if max_depth == 1:
         return Schedule((0, 1), _unit_fractions(2), kind="exp_nu")
     best_m, best_nu = 1, float(max_depth)
@@ -291,8 +290,9 @@ def closed_form_weights(max_depth: int) -> tuple[float, float]:
     Valid only for ``max_depth = 2^k``, k >= 1, where the geometric sums
     collapse to ``4d + log2(d)`` and ``sqrt(16d^2/3 + 8d + log2(d) - 10/3)``.
     """
-    if max_depth < 2 or max_depth & (max_depth - 1):
-        raise ValueError("closed form requires max_depth to be a power of 2, >= 2")
+    max_depth = json_int(max_depth, "max_depth", 2)
+    if max_depth & (max_depth - 1):
+        raise ValueError(f"closed form needs max_depth a power of 2, got {max_depth}")
     log2d = float(max_depth.bit_length() - 1)
     linear = 4.0 * max_depth + log2d
     quadratic = 16.0 * max_depth**2 / 3.0 + 8.0 * max_depth + log2d - 10.0 / 3.0
@@ -314,9 +314,7 @@ def base_bounds(num_depths: int) -> BaseBounds:
     Both bounds tend to 2 as q grows, so fitted schedules approach plain
     doubling at large maximum depth. Requires q >= 3.
     """
-    if num_depths < 3:
-        raise ValueError("base bounds need at least 3 depths")
-    q = num_depths
+    q = json_int(num_depths, "num_depths", 3)
     return BaseBounds(
         lower=2.0 ** ((q - 3) / (q - 2)),
         upper=2.0 ** ((q - 1) / (q - 2)),

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import json_int, unit_real
+
 __all__ = ["StatePrep", "prepare_state", "apply_grover", "grover_power_prob"]
 
 MAX_QUBITS = 12
@@ -36,16 +38,18 @@ class StatePrep:
     amplitude: float
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise ValueError(f"n_qubits must lie in [1, {MAX_QUBITS}]")
-        dim = 1 << self.n_qubits
-        object.__setattr__(self, "good_set", frozenset(self.good_set))
-        if not self.good_set or len(self.good_set) >= dim:
+        n_qubits = json_int(self.n_qubits, "n_qubits", 1)
+        if n_qubits > MAX_QUBITS:
+            raise ValueError(f"n_qubits must be at most {MAX_QUBITS}, got {n_qubits}")
+        dim = 1 << n_qubits
+        good_set = frozenset(json_int(i, "good_set", 0) for i in self.good_set)
+        if not good_set or len(good_set) >= dim:
             raise ValueError("good_set must be a non-empty proper subset of the basis")
-        if any(not 0 <= i < dim for i in self.good_set):
+        if max(good_set) >= dim:
             raise ValueError("good_set indices out of range")
-        if not 0.0 <= self.amplitude <= 1.0:
-            raise ValueError("amplitude must lie in [0, 1]")
+        object.__setattr__(self, "n_qubits", n_qubits)
+        object.__setattr__(self, "good_set", good_set)
+        object.__setattr__(self, "amplitude", unit_real(self.amplitude, "amplitude"))
 
     @property
     def dim(self) -> int:
@@ -81,10 +85,8 @@ def apply_grover(v: np.ndarray, sp: StatePrep) -> np.ndarray:
 
 def grover_power_prob(sp: StatePrep, power: int) -> float:
     """Good-subspace probability after ``power`` Grover iterations on |A>."""
-    if power < 0:
-        raise ValueError("power must be non-negative")
     v = prepare_state(sp)
-    for _ in range(power):
+    for _ in range(json_int(power, "power", 0)):
         v = apply_grover(v, sp)
     mask = _good_mask(sp)
     return float(np.sum(np.abs(v[mask]) ** 2))

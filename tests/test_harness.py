@@ -180,6 +180,10 @@ class TestExceptionalRegion:
                 k_index=k_index,
             )
 
+    def test_amplitude_count_needs_k_index(self):
+        with pytest.raises(ValueError, match=r"needs k_index in \[0, 33\]"):
+            ExperimentConfig(mode="exceptional_region", max_depth=16, amplitudes=5)
+
     @pytest.mark.parametrize("amplitudes", [[0.3, 0.4], 5])
     @pytest.mark.parametrize("k_index", [-1, 34, 999])
     def test_k_index_out_of_range_is_refused(self, amplitudes, k_index):
@@ -644,6 +648,12 @@ class TestConfigValidation:
         monkeypatch.setenv("AMPLEST_THREADS", "two")
         config = ExperimentConfig(mode="sweep", max_depth=2, amplitudes=5)
         with pytest.raises(ValueError, match="AMPLEST_THREADS must be an integer"):
+            sweep_amplitudes(config)
+
+    def test_zero_thread_count_is_refused(self, monkeypatch):
+        monkeypatch.setenv("AMPLEST_THREADS", "0")
+        config = ExperimentConfig(mode="sweep", max_depth=2, amplitudes=5)
+        with pytest.raises(ValueError, match="AMPLEST_THREADS must be at least 1"):
             sweep_amplitudes(config)
 
     def test_mode_checked(self):

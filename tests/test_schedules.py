@@ -270,6 +270,20 @@ class TestScheduleValidation:
     def test_poly_allows_duplicates(self):
         Schedule((1, 1, 2), (ONE,) * 3, kind="poly")
 
+    @pytest.mark.parametrize(
+        "depths, fractions, kind, message",
+        [
+            ((0, 1), (ONE, ONE), "cubic", "unknown schedule kind 'cubic'"),
+            ((), (), "custom", "at least one depth"),
+            ((0, 1), (ONE,), "custom", "equal length"),
+            ((-1, 0), (ONE, ONE), "custom", "depths must be at least 0"),
+            ((2, 1), (ONE, ONE), "poly", "poly schedule depths must be non-decreasing"),
+        ],
+    )
+    def test_malformed_schedule_is_refused(self, depths, fractions, kind, message):
+        with pytest.raises(ValueError, match=message):
+            Schedule(depths, fractions, kind=kind)
+
     def test_fraction_domain(self):
         with pytest.raises(ValueError):
             Schedule((0, 1), (ONE, Fraction(0)), kind="custom")

@@ -44,6 +44,19 @@ class TestPrepareState:
         with pytest.raises(ValueError):
             StatePrep(1, frozenset({2}), 0.5)
 
+    @pytest.mark.parametrize(
+        "n_qubits, amplitude, message",
+        [
+            (0, 0.5, "n_qubits must be at least 1"),
+            (13, 0.5, "n_qubits must be at most 12"),
+            (2, -0.1, "amplitude must be a real number in"),
+            (2, 1.5, "amplitude must be a real number in"),
+        ],
+    )
+    def test_out_of_range_is_refused(self, n_qubits, amplitude, message):
+        with pytest.raises(ValueError, match=message):
+            StatePrep(n_qubits, frozenset({0}), amplitude)
+
 
 class TestApplyGrover:
     def test_saturated_amplitudes_are_fixed_points(self):
