@@ -5,50 +5,18 @@ schedules (including depth jittering), budgeting shots and oracle calls for
 a target precision, simulating measurement records, locating the
 maximum-likelihood amplitude on an angle grid, and running reproducible
 numerical experiments from the command line.
+
+The top-level names are exactly the ``__all__`` lists of ``likelihood``,
+``planner``, ``sampler``, ``schedules`` and ``statevector``, republished
+here, so each module's ``__all__`` is the one statement of its public API.
+The experiment harness and the CLI stay in ``amplest.harness`` and
+``amplest.cli``.
 """
 
-from .likelihood import (
-    Estimate,
-    depth_log_likelihood,
-    grid_maximize,
-    record_log_likelihood,
-    run_mlqae,
-)
-from .planner import (
-    Plan,
-    average_error,
-    erfinv,
-    exceptional_values,
-    fisher_information,
-    make_plan,
-    required_fisher_info,
-    required_shots,
-    single_shot_fisher_info,
-    speedup_factor,
-    total_calls,
-)
-from .sampler import (
-    MeasurementRecord,
-    RecordEntry,
-    amplitude_from_angle,
-    angle_from_amplitude,
-    binomial_draw,
-    draw_record,
-    good_prob,
-)
-from .schedules import (
-    BaseBounds,
-    Schedule,
-    base_bounds,
-    call_weight,
-    closed_form_weights,
-    exponential_schedule,
-    exponential_schedule_to_depth,
-    info_weight,
-    info_weight_squared,
-    jitter,
-    polynomial_schedule,
-)
-from .statevector import StatePrep, apply_grover, grover_power_prob, prepare_state
+from .likelihood import *
+from .planner import *
+from .sampler import *
+from .schedules import *
+from .statevector import *
 
 __version__ = "0.1.0"

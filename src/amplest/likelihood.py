@@ -98,7 +98,8 @@ class Estimate:
 
 def depth_log_likelihood(theta: float, depth: int, shots: int, hits: int) -> float:
     """Log-likelihood of ``hits`` good outcomes in ``shots`` at one depth."""
-    if not 0 <= hits <= shots:
+    shots, hits = json_int(shots, "shots", 0), json_int(hits, "hits", 0)
+    if hits > shots:
         raise ValueError(f"hits {hits} outside [0, {shots}]")
     p = good_prob(theta, depth)
     ll = 0.0

@@ -199,7 +199,7 @@ class Plan:
     n_shot: int
     n_calls: int
     grid_size: int
-    grid_multiplier: float = 3.0
+    grid_multiplier: float
 
     def to_dict(self) -> dict:
         """The fields in declaration order, the schedule as its own mapping."""
@@ -226,6 +226,7 @@ def make_plan(
     epsilon, delta = _epsilon(epsilon), _delta(delta)
     max_depth = json_int(max_depth, "max_depth", 0)
     positive_real(spread_coeff, "spread_coeff")
+    grid_multiplier = positive_real(grid_multiplier, "grid_multiplier")
     if not isinstance(jittered, (bool, np.bool_)):
         raise ValueError(f"jittered must be a bool, got {jittered!r}")
     if jittered and max_depth == 0:

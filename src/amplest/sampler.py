@@ -46,6 +46,8 @@ class MeasurementRecord:
 
     def __post_init__(self) -> None:
         for e in self.entries:
+            if e.depth < 0:
+                raise ValueError(f"depth must be at least 0, got {e.depth}")
             if e.shots < 1:
                 raise ValueError(f"entry at depth {e.depth} has no shots")
             if not 0 <= e.hits <= e.shots:

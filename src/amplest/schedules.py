@@ -36,7 +36,6 @@ __all__ = [
     "info_weight_squared",
     "closed_form_weights",
     "base_bounds",
-    "round_half_away",
 ]
 
 _KINDS = ("exp", "exp_nu", "poly", "jittered", "custom")
@@ -203,12 +202,13 @@ def polynomial_schedule(beta: float, epsilon: float) -> Schedule:
 
     ``q = ceil(max(epsilon^(-2*beta), ln(1/epsilon)))``. Duplicate depths are
     kept: each entry is an independent measurement batch, and collapsing
-    them would change the call count.
+    them would change the call count. ``beta`` lies in (0, 1] and
+    ``epsilon`` in (0, 1).
     """
-    if not 0 < beta <= 1:
-        raise ValueError("beta must lie in (0, 1]")
-    if not 0 < epsilon < 1:
-        raise ValueError("epsilon must lie in (0, 1)")
+    beta = positive_real(beta, "beta")
+    if beta > 1.0:
+        raise ValueError(f"beta must be at most 1, got {beta!r}")
+    epsilon = positive_real(epsilon, "epsilon", 1.0)
     q = ceil_guarded(max(epsilon ** (-2.0 * beta), math.log(1.0 / epsilon)))
     exponent = (1.0 - beta) / (2.0 * beta)
     depths = tuple(round_half_away(j**exponent) for j in range(1, q + 1))

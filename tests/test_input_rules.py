@@ -1,11 +1,13 @@
-"""The package's two numeric input rules, checked at every site that reads them.
+"""The package's numeric input rules, checked at every site that reads them.
 
 Counts, indices, depths, grid sizes and seeds are integers: a numpy integer
 is accepted and stored as ``int``; bools, floats and strings are refused with
 a ``ValueError`` naming the argument, and so is a value below the site's
 floor. Amplitudes and probabilities are reals in [0, 1]: a numpy float or a
 ``Fraction`` is accepted and stored as ``float``; bools, strings, NaN and
-values outside [0, 1] are refused by name.
+values outside [0, 1] are refused by name. Schedule parameters are finite
+positive reals, read the same way; the planning fields' table of them is in
+``tests/test_planner.py``.
 """
 
 import dataclasses
@@ -17,7 +19,7 @@ import numpy as np
 import pytest
 
 from amplest.harness import ExperimentConfig
-from amplest.likelihood import grid_angles, grid_maximize
+from amplest.likelihood import depth_log_likelihood, grid_angles, grid_maximize
 from amplest.planner import (
     average_error,
     exceptional_values,
@@ -32,6 +34,8 @@ from amplest.schedules import (
     closed_form_weights,
     exponential_schedule,
     exponential_schedule_to_depth,
+    jitter,
+    polynomial_schedule,
 )
 from amplest.statevector import StatePrep, grover_power_prob
 
@@ -98,6 +102,18 @@ _INT_SITES = {
     ),
     "draw_record.seed": (lambda v: draw_record(0.3, SCHEDULE, 10, v), "seed", 3, None),
     "draw_record.n_shot": (lambda v: draw_record(0.3, SCHEDULE, v, 3), "n_shot", 9, 1),
+    "depth_log_likelihood.shots": (
+        lambda v: depth_log_likelihood(0.3, 2, v, 3),
+        "shots",
+        10,
+        0,
+    ),
+    "depth_log_likelihood.hits": (
+        lambda v: depth_log_likelihood(0.3, 2, 10, v),
+        "hits",
+        3,
+        0,
+    ),
     "grid_angles": (grid_angles, "grid_size", 5, 2),
     "grid_maximize": (lambda v: grid_maximize(RECORD, v), "grid_size", 50, 2),
     "StatePrep.n_qubits": (
@@ -135,6 +151,19 @@ _UNIT_SITES = {
     "binomial_draw": (lambda v: binomial_draw(10, v, np.random.default_rng(1)), "p"),
     "StatePrep": (lambda v: StatePrep(2, frozenset({1}), v), "amplitude"),
     "ExperimentConfig.amplitudes": (lambda v: _sweep_points([v])[1], "amplitudes"),
+}
+
+
+# Every schedule builder that reads a finite positive real: (call, argument
+# name, a value above its upper end or None).
+_POSITIVE_REAL_SITES = {
+    "polynomial_schedule.beta": (lambda v: polynomial_schedule(v, 0.125), "beta", 1.5),
+    "polynomial_schedule.epsilon": (
+        lambda v: polynomial_schedule(0.5, v),
+        "epsilon",
+        1.0,
+    ),
+    "jitter": (lambda v: jitter(SCHEDULE, v), "spread_coeff", None),
 }
 
 
@@ -206,6 +235,36 @@ class TestUnitRealRule:
     def test_stored_amplitudes_are_floats(self, value):
         assert type(draw_record(value, SCHEDULE, 10, 3).a_true) is float
         assert type(StatePrep(2, frozenset({1}), value).amplitude) is float
+
+
+class TestPositiveRealRule:
+    @pytest.mark.parametrize("site", sorted(_POSITIVE_REAL_SITES))
+    @pytest.mark.parametrize(
+        "value", [True, "0.1", None, math.nan, math.inf, -math.inf, 0, -0.1]
+    )
+    def test_bad_value_is_refused_by_name(self, site, value):
+        call, name, _ = _POSITIVE_REAL_SITES[site]
+        with pytest.raises(ValueError, match=f"^{name} must be a finite positive"):
+            call(value)
+
+    @pytest.mark.parametrize(
+        "site", sorted(s for s, entry in _POSITIVE_REAL_SITES.items() if entry[2])
+    )
+    def test_value_above_the_range_is_refused_by_name(self, site):
+        call, name, above = _POSITIVE_REAL_SITES[site]
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            call(above)
+
+    @pytest.mark.parametrize("site", sorted(_POSITIVE_REAL_SITES))
+    @pytest.mark.parametrize(
+        "value", [np.float64(0.5), np.float32(0.5), Fraction(1, 2)]
+    )
+    def test_other_reals_read_as_the_plain_float(self, site, value):
+        call, _, _ = _POSITIVE_REAL_SITES[site]
+        result = call(value)
+        assert result == call(0.5)
+        assert _plain(result)
+        json.dumps(result.to_dict())
 
 
 class TestScheduleFractions:

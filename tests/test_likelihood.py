@@ -18,6 +18,7 @@ from amplest.likelihood import (
     _BlockTree,
     _block_tree,
     _bounds,
+    _icbrt,
     _record_columns,
     _sin2_ranges,
     _spans,
@@ -414,6 +415,27 @@ def spread_records(count: int, seed: int) -> tuple[list[MeasurementRecord], int]
         for i, a in enumerate(amplitudes)
     ]
     return recs, plan.grid_size
+
+
+def exact_icbrt(n: int) -> int:
+    """Largest integer whose cube is at most ``n``, by integer bisection."""
+    lo, hi = 0, 1
+    while hi**3 <= n:
+        hi *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid**3 <= n else (lo, mid)
+    return lo
+
+
+class TestIcbrt:
+    @pytest.mark.parametrize("k", [10**5, 10**15, 10**20])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_matches_integer_bisection(self, k, offset):
+        # at k = 1e15 and 1e20 round(n ** (1/3)) falls below the answer and
+        # the upward loop runs; at k = 1e5 only the downward loop does
+        n = k**3 + offset
+        assert _icbrt(n) == exact_icbrt(n) == k - (offset < 0)
 
 
 class TestCachedBoundsAndRows:

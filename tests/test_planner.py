@@ -1,6 +1,8 @@
+import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import scipy.special
 
@@ -290,6 +292,13 @@ class TestMakePlan:
     def test_spread_coeff_must_be_finite_and_positive(self, value):
         with pytest.raises(ValueError, match="spread_coeff must be a finite positive"):
             make_plan(1e-3, 0.01, 16, jittered=True, spread_coeff=value)
+
+    @pytest.mark.parametrize("value", [np.int64(3), np.float32(3.0), Fraction(3)])
+    def test_grid_multiplier_is_stored_as_the_plain_float(self, value):
+        plan = make_plan(1e-3, 0.01, 4, grid_multiplier=value)
+        assert type(plan.grid_multiplier) is float
+        assert plan == make_plan(1e-3, 0.01, 4)
+        json.dumps(plan.to_dict())
 
     def test_small_positive_grid_multiplier_keeps_the_floor(self):
         assert make_plan(1e-3, 0.01, 4, grid_multiplier=1e-6).grid_size == 2

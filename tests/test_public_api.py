@@ -1,0 +1,52 @@
+"""The top-level ``amplest`` names are the library modules' ``__all__`` lists.
+
+``amplest`` republishes ``likelihood``, ``planner``, ``sampler``,
+``schedules`` and ``statevector``, and the README's library example runs
+from those names as printed.
+"""
+
+import contextlib
+import io
+import re
+import types
+from pathlib import Path
+
+import pytest
+
+import amplest
+from amplest import likelihood, planner, sampler, schedules, statevector
+
+MODULES = (likelihood, planner, sampler, schedules, statevector)
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_every_listed_name_is_the_module_object(module):
+    for name in module.__all__:
+        assert getattr(amplest, name) is getattr(module, name), name
+
+
+def test_no_other_public_name():
+    listed = [name for module in MODULES for name in module.__all__]
+    assert len(listed) == len(set(listed)), "a name is listed by two modules"
+    others = {
+        name: value
+        for name, value in vars(amplest).items()
+        if not name.startswith("_") and name not in listed
+    }
+    # an imported submodule binds itself on the package
+    for name, value in others.items():
+        assert isinstance(value, types.ModuleType), name
+        assert value.__name__ == f"amplest.{name}"
+    assert isinstance(amplest.__version__, str)
+
+
+def test_readme_library_example_runs_as_printed():
+    text = README.read_text(encoding="utf-8")
+    example = re.search(r"## Library example\n.*?```python\n(.*?)```", text, re.S)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(example.group(1), {})
+    shots_and_calls, a_hat = out.getvalue().splitlines()
+    assert shots_and_calls == "1267 82385"
+    assert abs(float(a_hat) - 0.3) <= 1e-3

@@ -224,6 +224,8 @@ class TestMeasurementRecord:
             MeasurementRecord((RecordEntry(0, 0, 0),))
         with pytest.raises(ValueError):
             MeasurementRecord((RecordEntry(4, 10, 1), RecordEntry(2, 10, 1)))
+        with pytest.raises(ValueError, match="^depth must be at least 0"):
+            MeasurementRecord((RecordEntry(-3, 10, 2),))
 
     def test_json_round_trip(self):
         rec = draw_record(0.25, exponential_schedule_to_depth(4), 50, 9)

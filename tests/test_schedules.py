@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -330,6 +331,12 @@ class TestSerialization:
         assert "beta" not in data
         restored = Schedule.from_dict(data)
         assert restored == j
+
+    def test_polynomial_round_trip(self):
+        s = polynomial_schedule(0.5, 0.1)
+        data = json.loads(json.dumps(s.to_dict()))
+        assert data["beta"] == 0.5
+        assert Schedule.from_dict(data) == s
 
     def test_absent_fields_omitted(self):
         data = exponential_schedule(4).to_dict()
