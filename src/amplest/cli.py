@@ -3,23 +3,46 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from .harness import (
-    MODE_TAGS,
-    ExperimentConfig,
-    call_ratio_table,
-    exceptional_region_scan,
-    precision_curve,
-    sweep_amplitudes,
-    write_rows,
-)
-from .likelihood import grid_maximize
-from .planner import Plan, exceptional_values, make_plan
-from .rng import substream
-from .sampler import angle_from_amplitude, draw_record, good_prob
-from .statevector import StatePrep, grover_power_prob
+if TYPE_CHECKING:
+    from .planner import Plan
+
+# The library names the handlers call, by module. Each is imported on first
+# use (PEP 562) and then kept on this module, so a command loads only what it
+# runs: ``plan`` and ``exceptional`` need the planner alone, and no command
+# but ``validate-oracle`` loads the statevector. Handlers read the names
+# through ``_cli``, so a name replaced on the module is the one they call.
+_SOURCES = {
+    "harness": (
+        "MODE_TAGS",
+        "ExperimentConfig",
+        "call_ratio_table",
+        "exceptional_region_scan",
+        "precision_curve",
+        "sweep_amplitudes",
+        "write_rows",
+    ),
+    "likelihood": ("grid_maximize",),
+    "planner": ("exceptional_values", "make_plan"),
+    "rng": ("substream",),
+    "sampler": ("angle_from_amplitude", "draw_record", "good_prob"),
+    "statevector": ("StatePrep", "grover_power_prob"),
+}
+_MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name: str) -> object:
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    path = f"{__package__}.{_MODULE_OF[name]}"
+    __import__(path)  # unlike importlib.import_module, shown by -X importtime
+    value = globals()[name] = getattr(sys.modules[path], name)
+    return value
 
 
 def _int_list(text: str) -> list[int]:
@@ -102,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _plan(args: argparse.Namespace, **extra: float) -> Plan:
-    return make_plan(
+    return _cli.make_plan(
         args.epsilon,
         args.delta,
         args.max_depth,
@@ -119,11 +142,11 @@ def _cmd_plan(args: argparse.Namespace) -> None:
 
 def _cmd_estimate(args: argparse.Namespace) -> None:
     plan = _plan(args)
-    record = draw_record(args.amplitude, plan.schedule, plan.n_shot, args.seed)
+    record = _cli.draw_record(args.amplitude, plan.schedule, plan.n_shot, args.seed)
     if args.record:
         with open(args.record, "w") as f:
             json.dump(record.to_dict(), f, indent=2)
-    estimate = grid_maximize(record, plan.grid_size)
+    estimate = _cli.grid_maximize(record, plan.grid_size)
     print(json.dumps(estimate.to_dict(), indent=2))
 
 
@@ -145,40 +168,42 @@ def _cmd_experiment(args: argparse.Namespace) -> None:
         for flag, value in vars(args).items()
         if flag not in ("command", "out")
     }
-    # looked up on each call, so replacing a module attribute is seen here
     experiment = {
-        "sweep": sweep_amplitudes,
-        "precision_curve": precision_curve,
-        "exceptional_region": exceptional_region_scan,
+        "sweep": _cli.sweep_amplitudes,
+        "precision_curve": _cli.precision_curve,
+        "exceptional_region": _cli.exceptional_region_scan,
     }[mode]
-    write_rows(args.out, mode, experiment(ExperimentConfig(mode=mode, **fields)))
+    config = _cli.ExperimentConfig(mode=mode, **fields)
+    _cli.write_rows(args.out, mode, experiment(config))
 
 
 def _cmd_exceptional(args: argparse.Namespace) -> None:
-    print(json.dumps(exceptional_values(args.max_depth)))
+    print(json.dumps(_cli.exceptional_values(args.max_depth)))
 
 
 def _cmd_call_ratio(args: argparse.Namespace) -> None:
-    rows = call_ratio_table(args.depths, args.epsilon, args.delta, args.spread_coeff)
-    write_rows(args.out, "call_ratio", rows)
+    rows = _cli.call_ratio_table(
+        args.depths, args.epsilon, args.delta, args.spread_coeff
+    )
+    _cli.write_rows(args.out, "call_ratio", rows)
 
 
 def _cmd_validate_oracle(args: argparse.Namespace) -> None:
     worst = 0.0
     cases = 0
-    tag = MODE_TAGS["oracle_validation"]
+    tag = _cli.MODE_TAGS["oracle_validation"]
     for n in range(1, args.qubits + 1):
         dim = 1 << n
         for trial in range(args.trials):
-            rng = substream(args.seed, tag, n, trial)
+            rng = _cli.substream(args.seed, tag, n, trial)
             size = int(rng.integers(1, dim))
             good = frozenset(int(i) for i in rng.choice(dim, size=size, replace=False))
             a = float(rng.uniform(0.0, 1.0))
-            sp = StatePrep(n_qubits=n, good_set=good, amplitude=a)
-            theta = angle_from_amplitude(a)
+            sp = _cli.StatePrep(n_qubits=n, good_set=good, amplitude=a)
+            theta = _cli.angle_from_amplitude(a)
             for power in range(args.max_power + 1):
-                simulated = grover_power_prob(sp, power)
-                expected = good_prob(theta, power)
+                simulated = _cli.grover_power_prob(sp, power)
+                expected = _cli.good_prob(theta, power)
                 worst = max(worst, abs(simulated - expected))
                 cases += 1
     print(json.dumps({"max_abs_deviation": worst, "cases": cases}))
@@ -207,5 +232,19 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def process_main() -> int:
+    """Entry point of an ``amplest`` process: ``python -m amplest`` and the
+    ``amplest`` script.
+
+    Runs :func:`main`, then moves every object the garbage collector tracks
+    (~22k, mostly numpy's and the package's) into its permanent generation,
+    so that the interpreter's collections at exit pass them over. Only the
+    process ends here; :func:`main` is also called in-process.
+    """
+    status = main()
+    gc.freeze()
+    return status
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(process_main())

@@ -70,8 +70,9 @@ class Schedule:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         for field in ("nu", "spread_coeff", "beta"):
-            if getattr(self, field) is not None:
-                positive_real(getattr(self, field), field)
+            value = getattr(self, field)
+            if value is not None:
+                object.__setattr__(self, field, positive_real(value, field))
         depths = tuple(json_int(d, "depths", 0) for d in self.depths)
         fractions = tuple(
             f if isinstance(f, Fraction) else Fraction(json_int(f, "fractions"))
@@ -209,7 +210,15 @@ def polynomial_schedule(beta: float, epsilon: float) -> Schedule:
     if beta > 1.0:
         raise ValueError(f"beta must be at most 1, got {beta!r}")
     epsilon = positive_real(epsilon, "epsilon", 1.0)
-    q = ceil_guarded(max(epsilon ** (-2.0 * beta), math.log(1.0 / epsilon)))
+    try:
+        raw = max(epsilon ** (-2.0 * beta), math.log(1.0 / epsilon))
+    except OverflowError:  # float ** raises where float / returns inf
+        raw = math.inf
+    if not math.isfinite(raw):
+        raise ValueError(
+            f"epsilon is too small for a finite depth count, got {epsilon!r}"
+        )
+    q = ceil_guarded(raw)
     exponent = (1.0 - beta) / (2.0 * beta)
     depths = tuple(round_half_away(j**exponent) for j in range(1, q + 1))
     return Schedule(depths, _unit_fractions(q), kind="poly", beta=beta)

@@ -174,6 +174,7 @@ class TestSubprocessEntryPoints:
         assert result.stderr.startswith("usage: amplest")
         last = result.stderr.strip().splitlines()[-1]
         assert last.startswith("amplest: error: " + field), last
+        assert result.stderr.count("amplest: error:") == 1
         assert "Traceback" not in result.stderr
         assert result.stdout == ""
 

@@ -266,6 +266,25 @@ class TestPositiveRealRule:
         assert _plain(result)
         json.dumps(result.to_dict())
 
+    @pytest.mark.parametrize("field", ["nu", "spread_coeff", "beta"])
+    @pytest.mark.parametrize(
+        "value",
+        [np.float64(2.0), np.float32(2.0), Fraction(2)],
+        ids=["float64", "float32", "Fraction"],
+    )
+    def test_schedule_stores_the_plain_float(self, field, value):
+        schedule = Schedule((0, 1), (ONE, ONE), kind="custom", **{field: value})
+        assert type(getattr(schedule, field)) is float
+        data = json.loads(json.dumps(schedule.to_dict()))
+        assert Schedule.from_dict(data) == schedule
+
+    @pytest.mark.parametrize(
+        "beta, epsilon", [(1.0, 1e-170), (0.5, 1e-320), (0.01, 1e-320)]
+    )
+    def test_depth_count_beyond_a_float_is_refused_by_name(self, beta, epsilon):
+        with pytest.raises(ValueError, match="^epsilon is too small for a finite"):
+            polynomial_schedule(beta, epsilon)
+
 
 class TestScheduleFractions:
     @pytest.mark.parametrize("bad", [1.0, True, 0.5, "1"])

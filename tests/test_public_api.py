@@ -1,8 +1,8 @@
 """The top-level ``amplest`` names are the library modules' ``__all__`` lists.
 
 ``amplest`` republishes ``likelihood``, ``planner``, ``sampler``,
-``schedules`` and ``statevector``, and the README's library example runs
-from those names as printed.
+``schedules`` and ``statevector``, each name loaded on first use, and the
+README's library example runs from those names as printed.
 """
 
 import contextlib
@@ -39,6 +39,14 @@ def test_no_other_public_name():
         assert isinstance(value, types.ModuleType), name
         assert value.__name__ == f"amplest.{name}"
     assert isinstance(amplest.__version__, str)
+
+
+def test_star_import_and_dir_give_the_listed_names():
+    listed = {name for module in MODULES for name in module.__all__}
+    namespace = {}
+    exec("from amplest import *", namespace)
+    assert namespace.keys() - {"__builtins__"} == listed
+    assert listed <= set(dir(amplest))
 
 
 def test_readme_library_example_runs_as_printed():
