@@ -17,6 +17,7 @@ if TYPE_CHECKING:
 # but ``validate-oracle`` loads the statevector. Handlers read the names
 # through ``_cli``, so a name replaced on the module is the one they call.
 _SOURCES = {
+    "_util": ("json_int",),
     "harness": (
         "MODE_TAGS",
         "ExperimentConfig",
@@ -189,19 +190,23 @@ def _cmd_call_ratio(args: argparse.Namespace) -> None:
 
 
 def _cmd_validate_oracle(args: argparse.Namespace) -> None:
+    # a check over no qubit, trial or power would report a deviation of 0
+    qubits = _cli.json_int(args.qubits, "qubits", 1)
+    trials = _cli.json_int(args.trials, "trials", 1)
+    max_power = _cli.json_int(args.max_power, "max_power", 0)
     worst = 0.0
     cases = 0
     tag = _cli.MODE_TAGS["oracle_validation"]
-    for n in range(1, args.qubits + 1):
+    for n in range(1, qubits + 1):
         dim = 1 << n
-        for trial in range(args.trials):
+        for trial in range(trials):
             rng = _cli.substream(args.seed, tag, n, trial)
             size = int(rng.integers(1, dim))
             good = frozenset(int(i) for i in rng.choice(dim, size=size, replace=False))
             a = float(rng.uniform(0.0, 1.0))
             sp = _cli.StatePrep(n_qubits=n, good_set=good, amplitude=a)
             theta = _cli.angle_from_amplitude(a)
-            for power in range(args.max_power + 1):
+            for power in range(max_power + 1):
                 simulated = _cli.grover_power_prob(sp, power)
                 expected = _cli.good_prob(theta, power)
                 worst = max(worst, abs(simulated - expected))

@@ -1,19 +1,20 @@
 """Desk-scale numerical experiments over the estimator, with CSV output.
 
-The three sampling experiments run through one kernel, :func:`_run`. At each
-point, an (amplitude, shots) pair, it draws ``runs`` measurement records and
-takes each record's grid maximum-likelihood estimate. A ``sweep`` point is
-one run at the planned shots on an even grid over [0, 1], and its row keeps
-the estimate and seed. A ``precision_curve`` row keeps the (1 - delta)-
-quantile of absolute error; its points run over (amplitude, shots) pairs in
-row-major order. An ``exceptional_region`` scan is a precision curve at the
-planned shots over the +-4 epsilon band around one exceptional value; the
-band must lie inside [0, 1]. Rows are projected onto ``CSV_COLUMNS[mode]``.
+The three sampling experiments run through one kernel, :func:`_row`: at a
+point, an (amplitude, shots) pair, it draws ``runs`` measurement records,
+takes each one's grid maximum-likelihood estimate and returns the CSV row.
+A ``sweep`` point is one run at the planned shots on an even grid over
+[0, 1], and its row keeps the estimate and seed. A ``precision_curve`` row
+keeps the (1 - delta)-quantile of absolute error; its points run over
+(amplitude, shots) pairs in row-major order. An ``exceptional_region`` scan
+is a precision curve at the planned shots over the +-4 epsilon band around
+one exceptional value; the band must lie inside [0, 1]. Rows are projected
+onto ``CSV_COLUMNS[mode]``.
 
 Points run in forked worker processes (:func:`_map_points`). With ``w``
-workers, child ``k`` inherits the config through ``os.fork`` and computes
-points ``k, k + w, ...``; the parent reads each child's pickled share from a
-pipe, reaps every child and interleaves the shares back into point order.
+workers, child ``k`` inherits the config through ``os.fork`` and returns
+the rows of points ``k, k + w, ...``; the parent reads each child's pickled
+rows from a pipe, reaps every child and interleaves them into point order.
 An exception raised in a worker reaches the caller with its type and
 message; a worker that dies without a result raises ``RuntimeError``. One
 worker, fewer than four points, or a platform without ``os.fork`` runs the
@@ -22,7 +23,7 @@ points serially in the calling process.
 Input is judged once: a bad field is refused, by name, when its
 :class:`ExperimentConfig` is built (``make_plan`` judges the planning
 fields), and an experiment refuses only another mode's config. The config
-keeps the plan and grid size that the workers read. Reproducibility
+holds the plan and the points that the workers read. Reproducibility
 contract (see README): run ``r`` of point ``i`` uses the seed
 ``derive_key(base_seed, MODE_TAGS[mode], i, r)`` and floats are written
 with 17 significant digits. ``AMPLEST_THREADS`` caps the forked worker
@@ -34,11 +35,10 @@ at any worker count.
 from __future__ import annotations
 
 import csv
-import math
 import os
 import pickle
 import signal
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from numbers import Number
 from typing import Iterable, NoReturn, Sequence
 
@@ -48,14 +48,13 @@ from .planner import (
     Plan,
     _delta,
     _exceptional_value,
-    erfinv,
+    _precision_from_shots,
     grid_points,
     make_plan,
     required_shots,
 )
 from .rng import derive_key
-from .sampler import draw_record
-from .schedules import Schedule, info_weight
+from .sampler import _MAX_BINOMIAL_N, draw_record
 
 __all__ = [
     "MODE_TAGS",
@@ -89,17 +88,19 @@ class ExperimentConfig:
     """Inputs of one harness invocation; a bad field is refused here, by name.
 
     :func:`make_plan` judges the six planning fields (``epsilon`` through
-    ``grid_multiplier``) in every mode. The config keeps that ``plan``, which
-    holds ``epsilon`` and ``delta`` as floats and ``max_depth`` as an int, and
-    the ``grid_size`` the workers read; ``jittered`` is kept as a bool. The
-    other integer fields refuse bools and floats; ``amplitudes`` is a count
-    >= 2 or a non-empty list of numbers in [0, 1], resolved once into
-    ``points``; a ``k_index`` must name an exceptional value even where a
-    list leaves it unused. Per mode:
+    ``grid_multiplier``) in every mode. Two fields are derived, once: the
+    ``plan`` the runs use, which holds ``epsilon`` and ``delta`` as floats and
+    ``max_depth`` as an int, and the ``points``, each amplitude paired with
+    each shot count (the planned shots outside a precision curve).
+    ``jittered`` is kept as a bool. The other integer fields refuse bools and
+    floats; ``amplitudes`` is a count >= 2 or a non-empty list of numbers in
+    [0, 1]; a ``k_index`` must name an exceptional value even where a list
+    leaves it unused. A shot count above numpy's binomial limit, 2^63 - 1, is
+    refused, naming ``epsilon`` where the shots are planned. Per mode:
 
     * ``sweep``: ``runs_per_point`` is 1; no ``n_shot_list`` or ``k_index``.
     * ``precision_curve``: a non-empty ``n_shot_list`` of integers >= 1, kept
-      as a tuple, whose largest entry sizes the grid; no ``k_index``.
+      as a tuple, whose largest entry sets the plan's grid size; no ``k_index``.
     * ``exceptional_region``: no ``n_shot_list``; a count of amplitudes needs
       a ``k_index`` whose band lies inside [0, 1].
     """
@@ -117,8 +118,7 @@ class ExperimentConfig:
     k_index: int | None = None
     base_seed: int = 0
     plan: Plan = field(init=False, repr=False, compare=False)
-    grid_size: int = field(init=False, repr=False, compare=False)
-    points: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    points: tuple[tuple[float, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         mode = self.mode
@@ -133,7 +133,6 @@ class ExperimentConfig:
             grid_multiplier=self.grid_multiplier,
         )
         object.__setattr__(self, "jittered", bool(self.jittered))
-        object.__setattr__(self, "plan", plan)
         ints = {"runs_per_point": 1, "base_seed": None}
         if self.k_index is not None:
             ints["k_index"] = None
@@ -148,17 +147,26 @@ class ExperimentConfig:
         ):
             if unused:
                 raise ValueError(f"{mode} does not use {name}; leave it unset")
-        grid_size = plan.grid_size
         if mode == "precision_curve":
             shots = self.n_shot_list if isinstance(self.n_shot_list, Iterable) else ()
             shots = tuple(json_int(n, "n_shot_list", 1) for n in shots)
             if not shots:
                 raise ValueError("precision_curve needs a non-empty n_shot_list")
             object.__setattr__(self, "n_shot_list", shots)
+        else:  # bench/replay.py and tests/test_trace_hooks.py count this call
+            shots = (required_shots(plan.epsilon, plan.delta, plan.schedule),)
+        if max(shots) > _MAX_BINOMIAL_N:
+            source = "n_shot_list" if self.n_shot_list else "epsilon"
+            raise ValueError(
+                f"{source} gives {max(shots)} shots per depth, above numpy's "
+                f"binomial limit {_MAX_BINOMIAL_N}"
+            )
+        if self.n_shot_list:
             eps_min = _precision_from_shots(max(shots), plan.delta, plan.schedule)
-            grid_size = grid_points(self.grid_multiplier, eps_min)
-        object.__setattr__(self, "grid_size", grid_size)
-        object.__setattr__(self, "points", tuple(_amplitudes(self)))
+            plan = replace(plan, grid_size=grid_points(self.grid_multiplier, eps_min))
+        object.__setattr__(self, "plan", plan)
+        points = tuple((a, n) for a in _amplitudes(self) for n in shots)
+        object.__setattr__(self, "points", points)
 
 
 def achieved_precision(errors: Sequence[float], delta: float) -> float:
@@ -173,11 +181,6 @@ def achieved_precision(errors: Sequence[float], delta: float) -> float:
     delta = _delta(delta)
     rank = min(len(errors), max(1, ceil_guarded((1.0 - delta) * len(errors))))
     return sorted(errors)[rank - 1]
-
-
-def _precision_from_shots(n_shot: int, delta: float, schedule: Schedule) -> float:
-    """Precision the planner would pair with ``n_shot`` (worst-case amplitude)."""
-    return erfinv(1.0 - delta) / (info_weight(schedule) * math.sqrt(2.0 * n_shot))
 
 
 def _amplitudes(config: ExperimentConfig) -> list[float]:
@@ -211,18 +214,21 @@ def _amplitudes(config: ExperimentConfig) -> list[float]:
     return band
 
 
-def _estimates(
-    config: ExperimentConfig, i: int, a: float, n_shot: int
-) -> list[tuple[int, float]]:
-    """``(seed, a_hat)`` of each run at point ``i``: amplitude a, n_shot shots."""
-    schedule, grid_size = config.plan.schedule, config.grid_size
-    tag = MODE_TAGS[config.mode]
-    out = []
+def _row(config: ExperimentConfig, i: int) -> dict:
+    """The CSV row of point ``i``: its runs drawn, maximized and summarized."""
+    (a, n_shot), plan, mode = config.points[i], config.plan, config.mode
+    errors = []
     for r in range(config.runs_per_point):
-        seed = derive_key(config.base_seed, tag, i, r)
-        record = draw_record(a, schedule, n_shot, seed)
-        out.append((seed, grid_maximize(record, grid_size).a_hat))
-    return out
+        seed = derive_key(config.base_seed, MODE_TAGS[mode], i, r)
+        record = draw_record(a, plan.schedule, n_shot, seed)
+        a_hat = grid_maximize(record, plan.grid_size).a_hat
+        errors.append(abs(a_hat - a))
+    row = {"a_true": a, "n_shot": n_shot, "runs": config.runs_per_point}
+    if mode == "sweep":  # one run: its seed and estimate are kept
+        row.update(seed=seed, a_hat=a_hat, abs_err=errors[0])
+    else:
+        row["eps_achieved"] = achieved_precision(errors, plan.delta)
+    return {c: row[c] for c in CSV_COLUMNS[mode]}
 
 
 def _usable_cores() -> int:
@@ -249,15 +255,13 @@ def _worker_count(n_points: int) -> int:
     return min(count, n_points)
 
 
-def _map_points(
-    config: ExperimentConfig, points: list[tuple[float, int]]
-) -> list[list[tuple[int, float]]]:
-    """:func:`_estimates` at each ``(a, n_shot)`` point, serially or in forked workers.
+def _map_points(config: ExperimentConfig) -> list[dict]:
+    """:func:`_row` of each of ``config.points``, serially or in forked workers.
 
     With ``w`` workers the process forks ``w`` children; child ``k`` inherits
-    ``config`` and ``points`` through the fork and computes points ``k, k + w,
-    ...``. It pickles ``("ok", estimates)``, or ``("error", exc)`` when
-    :func:`_estimates` raised, into its pipe and leaves through ``os._exit``,
+    ``config`` through the fork and computes the rows of points ``k, k + w,
+    ...``. It pickles ``("ok", rows)``, or ``("error", exc)`` when
+    :func:`_row` raised, into its pipe and leaves through ``os._exit``,
     so no atexit handler runs and no inherited stdio buffer is flushed twice.
     The parent reads every pipe to EOF, reaps every child on every path,
     interleaves the shares back into point order and re-raises a worker's
@@ -269,9 +273,10 @@ def _map_points(
     The points run serially, in this process, with one worker, below four
     points, or where ``os.fork`` does not exist.
     """
-    workers = _worker_count(len(points))
-    if workers == 1 or len(points) < 4 or not hasattr(os, "fork"):
-        return [_estimates(config, i, *point) for i, point in enumerate(points)]
+    n_points = len(config.points)
+    workers = _worker_count(n_points)
+    if workers == 1 or n_points < 4 or not hasattr(os, "fork"):
+        return [_row(config, i) for i in range(n_points)]
     pids: list[int] = []
     pipes = []
     try:
@@ -281,7 +286,7 @@ def _map_points(
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _worker(config, points, range(k, len(points), workers), write)
+                    _worker(config, range(k, n_points, workers), write)
             finally:
                 os.close(write)
             pids.append(pid)
@@ -294,13 +299,13 @@ def _map_points(
         for pipe in pipes:
             pipe.close()
         statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-    out: list = [None] * len(points)
+    out: list = [None] * n_points
     for k, (payload, status) in enumerate(zip(payloads, statuses)):
         code = os.waitstatus_to_exitcode(status)
         if code != 0 or not payload:
             raise RuntimeError(
                 f"{config.mode}: worker {k} exited with code {code} while running "
-                f"{len(points)} points on {workers} workers; AMPLEST_THREADS=1 "
+                f"{n_points} points on {workers} workers; AMPLEST_THREADS=1 "
                 "runs the job serially"
             )
         kind, value = pickle.loads(payload)
@@ -310,14 +315,12 @@ def _map_points(
     return out
 
 
-def _worker(
-    config: ExperimentConfig, points: list[tuple[float, int]], share: range, write: int
-) -> NoReturn:
+def _worker(config: ExperimentConfig, share: range, write: int) -> NoReturn:
     """Forked child of :func:`_map_points`: pickle its ``share``; never returns."""
     code = 1
     try:
         try:
-            result = ("ok", [_estimates(config, i, *points[i]) for i in share])
+            result = ("ok", [_row(config, i) for i in share])
         except Exception as exc:
             result = ("error", exc)
         with os.fdopen(write, "wb") as pipe:
@@ -331,22 +334,7 @@ def _run(config: ExperimentConfig, mode: str) -> list[dict]:
     """Run experiment ``mode`` (see the module docstring); config.mode must match."""
     if config.mode != mode:
         raise ValueError(f"config.mode is {config.mode!r}, expected {mode!r}")
-    plan = config.plan
-    shot_list = config.n_shot_list or [
-        required_shots(plan.epsilon, plan.delta, plan.schedule)
-    ]
-    points = [(a, n) for a in config.points for n in shot_list]
-    rows = []
-    for (a, n_shot), estimates in zip(points, _map_points(config, points)):
-        row = {"a_true": a, "n_shot": n_shot, "runs": config.runs_per_point}
-        if mode == "sweep":
-            row["seed"], row["a_hat"] = estimates[0]
-            row["abs_err"] = abs(row["a_hat"] - a)
-        else:
-            errors = [abs(a_hat - a) for _, a_hat in estimates]
-            row["eps_achieved"] = achieved_precision(errors, plan.delta)
-        rows.append({c: row[c] for c in CSV_COLUMNS[mode]})
-    return rows
+    return _map_points(config)
 
 
 def sweep_amplitudes(config: ExperimentConfig) -> list[dict]:
@@ -377,16 +365,10 @@ def call_ratio_table(
         raise ValueError("d_list must be non-empty")
     rows = []
     for d in d_list:
-        calls_plain = make_plan(eps, delta, d).n_calls
-        calls_spread = make_plan(eps, delta, d, jittered=True, spread_coeff=c).n_calls
-        rows.append(
-            {
-                "d": d,
-                "n_calls": calls_plain,
-                "n_calls_jittered": calls_spread,
-                "ratio": calls_spread / calls_plain,
-            }
-        )
+        plain = make_plan(eps, delta, d).n_calls
+        spread = make_plan(eps, delta, d, jittered=True, spread_coeff=c).n_calls
+        row = (d, plain, spread, spread / plain)
+        rows.append(dict(zip(CSV_COLUMNS["call_ratio"], row)))
     return rows
 
 

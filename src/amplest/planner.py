@@ -126,6 +126,11 @@ def required_shots(
     return max(1, ceil_guarded(raw))
 
 
+def _precision_from_shots(n_shot: int, delta: float, schedule: Schedule) -> float:
+    """Inverse of :func:`required_shots` at ``a = 0.5``, before its rounding."""
+    return erfinv(1.0 - delta) / (info_weight(schedule) * math.sqrt(2.0 * n_shot))
+
+
 def total_calls(schedule: Schedule, n_shot: int) -> int:
     """Oracle calls for ``n_shot`` planned shots, ceiling each depth's share.
 

@@ -106,6 +106,10 @@ def binomial_draw(n: int, p: float, rng: np.random.Generator) -> int:
     return _binomial(json_int(n, "n", 0), unit_real(p, "p"), rng)
 
 
+# numpy's Generator.binomial raises OverflowError for a count above this
+_MAX_BINOMIAL_N = 2**63 - 1
+
+
 def _binomial(n: int, p: float, rng: np.random.Generator) -> int:
     """:func:`binomial_draw` of a count and a probability already judged."""
     if p == 0.0:
@@ -123,13 +127,16 @@ def draw_record(
 ) -> MeasurementRecord:
     """Simulate one estimation run's measurement record.
 
-    A depth with shot fraction F performs ceil(F * n_shot) shots. Depth j
+    A depth with shot fraction F performs ceil(F * n_shot) shots, so no more
+    than ``n_shot``, which must be at most 2^63 - 1 for numpy. Depth j
     draws from the substream (seed, j), so entries are independent of the
     order in which they are produced.
     """
     a, seed = unit_real(a, "a"), json_int(seed, "seed")
     depths = schedule.depths
     shots = schedule.shots(n_shot)
+    if n_shot > _MAX_BINOMIAL_N:
+        raise ValueError(f"n_shot must be at most {_MAX_BINOMIAL_N}, got {n_shot}")
     theta = angle_from_amplitude(a)
     streams = thread_substreams()
     entries = []

@@ -17,7 +17,6 @@ from amplest._util import ceil_guarded
 from amplest.harness import (
     MODE_TAGS,
     ExperimentConfig,
-    _precision_from_shots,
     achieved_precision,
     call_ratio_table,
     precision_curve,
@@ -25,6 +24,7 @@ from amplest.harness import (
 )
 from amplest.likelihood import grid_maximize
 from amplest.planner import (
+    _precision_from_shots,
     erfinv,
     exceptional_values,
     make_plan,

@@ -115,6 +115,54 @@ class TestValidateOracleCommand:
         assert report["max_abs_deviation"] <= 1e-9
         assert report["cases"] == 3 * 5 * 7
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [("--qubits", "0", "qubits"), ("--trials", "0", "trials"),
+         ("--max-power", "-1", "max_power")],
+    )
+    def test_a_check_of_no_case_is_refused(self, capsys, flag, value, field):
+        with pytest.raises(SystemExit) as info:
+            main(["validate-oracle", flag, value])
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("amplest: error:") == 1
+        assert err.splitlines()[-1].startswith(f"amplest: error: {field} must be")
+
+
+class TestShotsNumpyCannotDraw:
+    # numpy's binomial raises OverflowError above 2^63 - 1 shots
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["sweep", "--max-depth", "16", "--epsilon", "1e-11", "--points", "4",
+              "--out", "out.csv"], "epsilon"),
+            (["estimate", "--max-depth", "50", "--epsilon", "1e-12",
+              "--amplitude", "0.3", "--seed", "1", "--record", "record.json"],
+             "n_shot"),
+            (["precision-curve", "--max-depth", "4", "--epsilon", "1e-2",
+              "--amplitudes", "0.3", "--shots", str(2**63), "--runs", "1",
+              "--out", "out.csv"], "n_shot_list"),
+        ],
+        ids=["sweep", "estimate", "precision-curve"],
+    )
+    def test_are_refused_by_name_before_any_output(
+        self, flags, field, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main(flags)
+        assert info.value.code == 2
+        printed, err = capsys.readouterr()
+        assert printed == ""
+        assert err.count("amplest: error:") == 1
+        assert err.splitlines()[-1].startswith(f"amplest: error: {field} ")
+        assert not list(tmp_path.iterdir())
+
+    def test_plan_still_prints_them(self, capsys):
+        main(["plan", "--max-depth", "16", "--epsilon", "1e-11"])
+        assert json.loads(capsys.readouterr().out)["n_shot"] > 2**63 - 1
+
 
 class TestSubprocessEntryPoints:
     def test_module_invocation(self, tmp_path):

@@ -300,13 +300,13 @@ def _die(*args):
     os._exit(3)
 
 
-_ESTIMATES = harness._estimates
+_ROW = harness._row
 
 
-def _fail_at_point_three(job, i, a, n_shot):
+def _fail_at_point_three(job, i):
     if i == 3:
         raise ValueError(f"no estimate at point {i}")
-    return _ESTIMATES(job, i, a, n_shot)
+    return _ROW(job, i)
 
 
 def _sleep(*args):
@@ -344,7 +344,7 @@ def _assert_no_child():
 class TestWorkerPool:
     def test_broken_pool_names_the_job(self, monkeypatch):
         monkeypatch.setenv("AMPLEST_THREADS", "2")
-        monkeypatch.setattr(harness, "_estimates", _die)
+        monkeypatch.setattr(harness, "_row", _die)
         config = ExperimentConfig(mode="sweep", max_depth=2, amplitudes=8)
         with pytest.raises(RuntimeError) as info:
             sweep_amplitudes(config)
@@ -384,7 +384,7 @@ class TestWorkerPool:
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         monkeypatch.setenv("AMPLEST_THREADS", "2")
-        monkeypatch.setattr(harness, "_estimates", _fail_at_point_three)
+        monkeypatch.setattr(harness, "_row", _fail_at_point_three)
         config = ExperimentConfig(mode="sweep", max_depth=2, amplitudes=8)
         with pytest.raises(ValueError) as info:
             sweep_amplitudes(config)
@@ -397,15 +397,15 @@ class TestWorkerPool:
         sweep_amplitudes(config)
         _assert_no_child()
         failures = ((_fail_at_point_three, ValueError), (_die, RuntimeError))
-        for estimates, error in failures:
-            monkeypatch.setattr(harness, "_estimates", estimates)
+        for row, error in failures:
+            monkeypatch.setattr(harness, "_row", row)
             with pytest.raises(error):
                 sweep_amplitudes(config)
             _assert_no_child()
 
     def test_interrupt_kills_and_reaps_every_worker(self, monkeypatch):
         monkeypatch.setenv("AMPLEST_THREADS", "2")
-        monkeypatch.setattr(harness, "_estimates", _sleep)
+        monkeypatch.setattr(harness, "_row", _sleep)
         config = ExperimentConfig(mode="sweep", max_depth=2, amplitudes=4)
 
         def interrupt(signum, frame):
@@ -536,8 +536,11 @@ class TestConfigValidation:
             assert any(name in str(exc) for name in _FIELDS), str(exc)
             return
         rows = _EXPERIMENTS[config.mode](config)
-        shots = config.n_shot_list or [None]
-        assert len(rows) == len(config.points) * len(shots)
+        # one row per point; the points pair each amplitude with each shot count
+        shots = config.n_shot_list or (config.plan.n_shot,)
+        amplitudes = [a for a, _ in config.points[:: len(shots)]]
+        assert config.points == tuple((a, n) for a in amplitudes for n in shots)
+        assert [row["a_true"] for row in rows] == [a for a, _ in config.points]
 
     @pytest.mark.parametrize(
         "fields, name",
@@ -564,9 +567,10 @@ class TestConfigValidation:
 
     def test_replace_judges_and_resolves_again(self):
         config = ExperimentConfig(mode="sweep", max_depth=2, amplitudes=3)
-        assert config.points == (0.0, 0.5, 1.0)
+        n = config.plan.n_shot
+        assert config.points == ((0.0, n), (0.5, n), (1.0, n))
         wider = dataclasses.replace(config, amplitudes=5)
-        assert wider.points == (0.0, 0.25, 0.5, 0.75, 1.0)
+        assert wider.points == tuple((a, n) for a in (0.0, 0.25, 0.5, 0.75, 1.0))
         with pytest.raises(ValueError, match="spread_coeff"):
             dataclasses.replace(config, spread_coeff=-5)
 

@@ -299,3 +299,58 @@ class TestScheduleFractions:
         assert type(schedule.fractions[0].numerator) is int
         json.dumps(schedule.to_dict())
         assert schedule == Schedule((0, 1), (ONE, ONE), kind="custom")
+
+
+# numpy's Generator.binomial draws counts up to 2^63 - 1 and raises
+# OverflowError above; every site that would hand it a count refuses first
+_NUMPY_MAX_N = 2**63 - 1
+
+
+class TestShotLimit:
+    def test_draw_record_refuses_n_shot_above_the_limit_by_name(self):
+        with pytest.raises(ValueError, match="^n_shot must be at most"):
+            draw_record(0.3, SCHEDULE, _NUMPY_MAX_N + 1, 3)
+
+    def test_draw_record_draws_at_the_limit(self):
+        record = draw_record(0.3, SCHEDULE, _NUMPY_MAX_N, 3)
+        assert max(e.shots for e in record.entries) == _NUMPY_MAX_N
+
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ({"mode": "sweep", "amplitudes": 3, "epsilon": 1e-11}, "epsilon"),
+            (
+                {"mode": "exceptional_region", "amplitudes": [0.3], "epsilon": 1e-11},
+                "epsilon",
+            ),
+            (
+                {
+                    "mode": "precision_curve",
+                    "amplitudes": [0.3],
+                    "n_shot_list": [8, _NUMPY_MAX_N + 1],
+                },
+                "n_shot_list",
+            ),
+            (
+                {
+                    "mode": "precision_curve",
+                    "amplitudes": [0.3],
+                    "n_shot_list": [10**400],
+                },
+                "n_shot_list",
+            ),
+        ],
+        ids=["sweep", "exceptional_region", "curve", "curve_beyond_a_float"],
+    )
+    def test_config_refuses_shots_above_the_limit_by_name(self, fields, name):
+        with pytest.raises(ValueError, match=f"^{name} gives .* binomial limit"):
+            ExperimentConfig(**{"max_depth": 16, **fields})
+
+    def test_config_takes_shots_at_the_limit(self):
+        config = ExperimentConfig(
+            mode="precision_curve",
+            max_depth=4,
+            amplitudes=[0.3],
+            n_shot_list=[8, _NUMPY_MAX_N],
+        )
+        assert config.points == ((0.3, 8), (0.3, _NUMPY_MAX_N))

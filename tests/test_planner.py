@@ -387,4 +387,4 @@ class TestPlanningInput:
         config = ExperimentConfig(
             mode="precision_curve", max_depth=0, amplitudes=[0.5], n_shot_list=[1]
         )
-        assert config.grid_size == grid_points(3.0, 1.29) == 3
+        assert config.plan.grid_size == grid_points(3.0, 1.29) == 3

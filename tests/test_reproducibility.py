@@ -48,6 +48,13 @@ WRITTEN = {
     "precision-curve --max-depth 16 --epsilon 1e-2 --amplitudes 0.3 "
     "--shots 64,256 --runs 20 --seed 11 --jitter":
         "4b95169ab10e5d99bc696ba7b8ff1773667a52d435d0ee731832239b5c882ce9",
+    # four points, so AMPLEST_THREADS=2 takes the forked path
+    "precision-curve --max-depth 16 --epsilon 1e-2 --amplitudes 0.3,0.5 "
+    "--shots 64,256 --runs 20 --seed 11":
+        "0bb34174345aa974ec186335fa198e8fdd8c323e4b3c67624135a76f1dc6745f",
+    "precision-curve --max-depth 16 --epsilon 1e-2 --amplitudes 0.3,0.5 "
+    "--shots 64,256 --runs 20 --seed 11 --jitter":
+        "e642e9582ba5947c65a48291d06578e7505b63afc76c27bb7aaaeb08ead395b4",
     "exceptional-region --max-depth 16 --epsilon 1e-3 --grid-multiplier 3 "
     "--k 16 --points 4 --runs 4 --seed 3":
         "a93c7eea58f98f67867a5781ceb38b9843ea32e0fc5867d5558131b6ff4cf870",
