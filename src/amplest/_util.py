@@ -16,20 +16,26 @@ def ceil_guarded(x: float) -> int:
     return math.ceil(x - abs(x) * 1e-12)
 
 
-def json_int(value: object, field: str, least: int | None = None) -> int:
-    """``value`` as a plain int >= ``least``; else ``ValueError`` naming ``field``.
+def json_int(
+    value: object, field: str, least: int | None = None, most: int | None = None
+) -> int:
+    """``value`` as a plain int in [``least``, ``most``], an end of None being
+    open; else ``ValueError`` naming ``field``.
 
     The one reader of counts, indices, depths, sizes and seeds. Numpy integers
     pass; bools, floats and strings raise, as ``int()`` would turn 10.9, True
-    or "2" into numbers. A plain int costs a type test and a comparison.
+    or "2" into numbers. A plain int costs a type test and one comparison
+    per bound given.
     """
-    if type(value) is int and (least is None or value >= least):
-        return value
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ValueError(f"{field} must be an integer, got {value!r}")
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise ValueError(f"{field} must be an integer, got {value!r}")
+        value = int(value)
     if least is not None and value < least:
         raise ValueError(f"{field} must be at least {least}, got {value}")
-    return int(value)
+    if most is not None and value > most:
+        raise ValueError(f"{field} must be at most {most}, got {value}")
+    return value
 
 
 def positive_real(value: object, field: str, upper: float = math.inf) -> float:

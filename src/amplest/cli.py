@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -229,10 +230,15 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for flag in ("out", "record"):
+        folder = os.path.dirname(getattr(args, flag, None) or ".") or "."
+        if not os.path.isdir(folder):
+            parser.error(f"--{flag}: directory {folder!r} does not exist")
     try:
         _COMMANDS[args.command](args)
-    except ValueError as exc:
-        # bad input reads like argparse's own errors: one line, exit code 2
+    except (ValueError, OSError) as exc:
+        # bad input or a failed write reads like argparse's own errors: one
+        # line, exit code 2
         parser.error(str(exc))
     return 0
 

@@ -98,9 +98,8 @@ class Estimate:
 
 def depth_log_likelihood(theta: float, depth: int, shots: int, hits: int) -> float:
     """Log-likelihood of ``hits`` good outcomes in ``shots`` at one depth."""
-    shots, hits = json_int(shots, "shots", 0), json_int(hits, "hits", 0)
-    if hits > shots:
-        raise ValueError(f"hits {hits} outside [0, {shots}]")
+    shots = json_int(shots, "shots", 0)
+    hits = json_int(hits, "hits", 0, shots)
     p = good_prob(theta, depth)
     ll = 0.0
     if hits > 0:
@@ -112,10 +111,7 @@ def depth_log_likelihood(theta: float, depth: int, shots: int, hits: int) -> flo
 
 def record_log_likelihood(theta: float, record: MeasurementRecord) -> float:
     """Combined log-likelihood of a record; -inf propagates through the sum."""
-    return sum(
-        (depth_log_likelihood(theta, e.depth, e.shots, e.hits) for e in record.entries),
-        0.0,
-    )
+    return sum((depth_log_likelihood(theta, *e) for e in record.entries), 0.0)
 
 
 def _angle_step(grid_size: int) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -36,52 +36,78 @@ class RecordEntry(NamedTuple):
     hits: int
 
 
+# The optional provenance fields of a record, each with its reader
+_PROVENANCE = {"a_true": unit_real, "seed": json_int}
+
+
 @dataclass(frozen=True)
 class MeasurementRecord:
-    """Per-depth good-outcome counts, with provenance when simulated."""
+    """Per-depth good-outcome counts, with provenance when simulated.
+
+    ``entries`` holds (depth, shots, hits) triples, stored as a tuple of
+    :class:`RecordEntry`. Depths, shots and hits are integers under
+    ``json_int``'s rule, at least 0, 1 and 0; hits never exceed shots, and
+    depths never decrease. A numpy count is stored as ``int``, and
+    ``a_true`` and ``seed``, when given, as a float in [0, 1] and an
+    ``int``. A bad value raises ``ValueError`` naming it.
+    """
 
     entries: tuple[RecordEntry, ...]
     a_true: float | None = None
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        for e in self.entries:
-            if e.depth < 0:
-                raise ValueError(f"depth must be at least 0, got {e.depth}")
-            if e.shots < 1:
-                raise ValueError(f"entry at depth {e.depth} has no shots")
-            if not 0 <= e.hits <= e.shots:
-                raise ValueError(
-                    f"entry at depth {e.depth}: hits {e.hits} outside [0, {e.shots}]"
-                )
-        depths = [e.depth for e in self.entries]
-        if any(b < a for a, b in zip(depths, depths[1:])):
-            raise ValueError("record depths must be non-decreasing")
+        stored = self.__dict__  # frozen: fields are replaced in the instance dict
+        stored["entries"] = _judged(stored["entries"])
+        for name, read in _PROVENANCE.items():
+            if stored[name] is not None:
+                stored[name] = read(stored[name], name)
 
     def to_dict(self) -> dict:
-        out: dict = {
-            "entries": [
-                {"depth": e.depth, "shots": e.shots, "hits": e.hits}
-                for e in self.entries
-            ]
+        provenance = {name: getattr(self, name) for name in _PROVENANCE}
+        return {
+            "entries": [e._asdict() for e in self.entries],
+            **{name: v for name, v in provenance.items() if v is not None},
         }
-        if self.a_true is not None:
-            out["a_true"] = self.a_true
-        if self.seed is not None:
-            out["seed"] = self.seed
-        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "MeasurementRecord":
-        seed = data.get("seed")
-        return cls(
-            entries=tuple(
-                RecordEntry(*(json_int(e[k], k) for k in RecordEntry._fields))
-                for e in data["entries"]
-            ),
-            a_true=data.get("a_true"),
-            seed=None if seed is None else json_int(seed, "seed"),
-        )
+        entries = [[e.get(k) for k in RecordEntry._fields] for e in data["entries"]]
+        return cls(entries, **{name: data.get(name) for name in _PROVENANCE})
+
+
+def _judged(entries: Iterable) -> tuple[RecordEntry, ...]:
+    """``entries`` as a tuple of :class:`RecordEntry` of plain ints that keeps
+    :class:`MeasurementRecord`'s rule, or ``ValueError`` naming the field.
+
+    A tuple already in that form is returned as it is, at the cost of type
+    tests and comparisons; any other input is read value by value and
+    rebuilt.
+    """
+    entries = tuple(entries)  # the same tuple when it is one
+    last = 0
+    for entry in entries:
+        depth, shots, hits = entry
+        if not (
+            type(entry) is RecordEntry
+            and type(depth) is type(shots) is type(hits) is int
+            and last <= depth and 0 <= hits <= shots and shots > 0
+        ):
+            break
+        last = depth
+    else:
+        return entries
+    out: list[RecordEntry] = []
+    for entry in entries:
+        depth, shots, hits = map(json_int, entry, RecordEntry._fields, (0, 1, 0))
+        if hits > shots:
+            raise ValueError(
+                f"hits must be at most {shots} at depth {depth}, got {hits}"
+            )
+        if out and depth < out[-1].depth:
+            raise ValueError("record depths must be non-decreasing")
+        out.append(RecordEntry(depth, shots, hits))
+    return tuple(out)
 
 
 def angle_from_amplitude(a: float) -> float:
@@ -101,13 +127,13 @@ def good_prob(theta: float, depth: int) -> float:
     return s * s
 
 
-def binomial_draw(n: int, p: float, rng: np.random.Generator) -> int:
-    """One Binomial(n, p) draw; exact at the endpoints p = 0 and p = 1."""
-    return _binomial(json_int(n, "n", 0), unit_real(p, "p"), rng)
-
-
 # numpy's Generator.binomial raises OverflowError for a count above this
 _MAX_BINOMIAL_N = 2**63 - 1
+
+
+def binomial_draw(n: int, p: float, rng: np.random.Generator) -> int:
+    """One Binomial(n, p) draw; exact at the endpoints p = 0 and p = 1."""
+    return _binomial(json_int(n, "n", 0, _MAX_BINOMIAL_N), unit_real(p, "p"), rng)
 
 
 def _binomial(n: int, p: float, rng: np.random.Generator) -> int:
@@ -134,9 +160,7 @@ def draw_record(
     """
     a, seed = unit_real(a, "a"), json_int(seed, "seed")
     depths = schedule.depths
-    shots = schedule.shots(n_shot)
-    if n_shot > _MAX_BINOMIAL_N:
-        raise ValueError(f"n_shot must be at most {_MAX_BINOMIAL_N}, got {n_shot}")
+    shots = schedule.shots(json_int(n_shot, "n_shot", 1, _MAX_BINOMIAL_N))
     theta = angle_from_amplitude(a)
     streams = thread_substreams()
     entries = []

@@ -16,7 +16,7 @@ share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 _KINDS = ("exp", "exp_nu", "poly", "jittered", "custom")
+# The optional parameters of a schedule, each a finite positive real
+_PARAMETERS = ("nu", "spread_coeff", "beta")
 
 
 def round_half_away(x: float) -> int:
@@ -69,10 +71,9 @@ class Schedule:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        for field in ("nu", "spread_coeff", "beta"):
-            value = getattr(self, field)
-            if value is not None:
-                object.__setattr__(self, field, positive_real(value, field))
+        for name in _PARAMETERS:
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, positive_real(getattr(self, name), name))
         depths = tuple(json_int(d, "depths", 0) for d in self.depths)
         fractions = tuple(
             f if isinstance(f, Fraction) else Fraction(json_int(f, "fractions"))
@@ -137,18 +138,13 @@ class Schedule:
 
     def to_dict(self) -> dict:
         """JSON-ready ``{"kind", "depths", "fractions", ...}`` mapping."""
-        out: dict = {
+        parameters = {name: getattr(self, name) for name in _PARAMETERS}
+        return {
             "kind": self.kind,
             "depths": list(self.depths),
             "fractions": [[f.numerator, f.denominator] for f in self.fractions],
+            **{name: v for name, v in parameters.items() if v is not None},
         }
-        if self.nu is not None:
-            out["nu"] = self.nu
-        if self.spread_coeff is not None:
-            out["spread_coeff"] = self.spread_coeff
-        if self.beta is not None:
-            out["beta"] = self.beta
-        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "Schedule":
@@ -159,9 +155,7 @@ class Schedule:
                 for n, d in data["fractions"]
             ),
             kind=data["kind"],
-            nu=data.get("nu"),
-            spread_coeff=data.get("spread_coeff"),
-            beta=data.get("beta"),
+            **{name: data.get(name) for name in _PARAMETERS},
         )
 
 
@@ -258,13 +252,12 @@ def jitter(schedule: Schedule, spread_coeff: float) -> Schedule:
         band = range(upper, lower - 1, -1) if fits else (d,)
         out_depths.extend(band)
         out_fractions.extend([Fraction(1, len(band))] * len(band))
-    return Schedule(
-        tuple(reversed(out_depths)),
-        tuple(reversed(out_fractions)),
+    return replace(
+        schedule,
+        depths=tuple(reversed(out_depths)),
+        fractions=tuple(reversed(out_fractions)),
         kind="jittered",
-        nu=schedule.nu,
         spread_coeff=spread_coeff,
-        beta=schedule.beta,
     )
 
 

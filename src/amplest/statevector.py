@@ -38,9 +38,7 @@ class StatePrep:
     amplitude: float
 
     def __post_init__(self) -> None:
-        n_qubits = json_int(self.n_qubits, "n_qubits", 1)
-        if n_qubits > MAX_QUBITS:
-            raise ValueError(f"n_qubits must be at most {MAX_QUBITS}, got {n_qubits}")
+        n_qubits = json_int(self.n_qubits, "n_qubits", 1, MAX_QUBITS)
         dim = 1 << n_qubits
         good_set = frozenset(json_int(i, "good_set", 0) for i in self.good_set)
         if not good_set or len(good_set) >= dim:

@@ -164,6 +164,49 @@ class TestShotsNumpyCannotDraw:
         assert json.loads(capsys.readouterr().out)["n_shot"] > 2**63 - 1
 
 
+class TestOutputPaths:
+    @pytest.mark.parametrize(
+        "flags, flag",
+        [
+            (["sweep", "--max-depth", "16", "--epsilon", "1e-3", "--points", "200",
+              "--out"], "out"),
+            (["estimate", "--max-depth", "4", "--epsilon", "1e-2",
+              "--amplitude", "0.3", "--seed", "1", "--record"], "record"),
+            (["call-ratio", "--depths", "4", "--epsilon", "1e-2", "--out"], "out"),
+        ],
+        ids=["sweep", "estimate", "call-ratio"],
+    )
+    def test_missing_directory_is_refused_before_any_work(
+        self, flags, flag, capsys, tmp_path, monkeypatch
+    ):
+        def no_work(args):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setitem(cli._COMMANDS, flags[0], no_work)
+        with pytest.raises(SystemExit) as info:
+            main([*flags, str(tmp_path / "missing" / "x")])
+        assert info.value.code == 2
+        printed, err = capsys.readouterr()
+        assert printed == ""
+        assert err.count("amplest: error:") == 1
+        assert err.splitlines()[-1].startswith(f"amplest: error: --{flag}: directory")
+
+    def test_failed_write_is_one_error_line(self, capsys, tmp_path):
+        # the path is a directory, which open() refuses only at the write
+        flags = ["sweep", "--max-depth", "2", "--epsilon", "1e-2", "--points", "3"]
+        with pytest.raises(SystemExit) as info:
+            main([*flags, "--out", str(tmp_path)])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("amplest: error:") == 1
+        assert err.splitlines()[-1].startswith("amplest: error: [Errno")
+
+    def test_file_in_the_working_directory_is_written(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        main(["call-ratio", "--depths", "4", "--epsilon", "1e-2", "--out", "x.csv"])
+        assert (tmp_path / "x.csv").read_text().startswith("d,n_calls")
+
+
 class TestSubprocessEntryPoints:
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -7,7 +7,9 @@ floor. Amplitudes and probabilities are reals in [0, 1]: a numpy float or a
 ``Fraction`` is accepted and stored as ``float``; bools, strings, NaN and
 values outside [0, 1] are refused by name. Schedule parameters are finite
 positive reals, read the same way; the planning fields' table of them is in
-``tests/test_planner.py``.
+``tests/test_planner.py``. A measurement record reads its depths, shots,
+hits and seed by the integer rule and its ``a_true`` by the [0, 1] rule,
+whether it is built directly or from JSON.
 """
 
 import dataclasses
@@ -19,7 +21,12 @@ import numpy as np
 import pytest
 
 from amplest.harness import ExperimentConfig
-from amplest.likelihood import depth_log_likelihood, grid_angles, grid_maximize
+from amplest.likelihood import (
+    depth_log_likelihood,
+    grid_angles,
+    grid_maximize,
+    record_log_likelihood,
+)
 from amplest.planner import (
     average_error,
     exceptional_values,
@@ -27,7 +34,14 @@ from amplest.planner import (
     make_plan,
     single_shot_fisher_info,
 )
-from amplest.sampler import angle_from_amplitude, binomial_draw, draw_record, good_prob
+from amplest.sampler import (
+    MeasurementRecord,
+    RecordEntry,
+    angle_from_amplitude,
+    binomial_draw,
+    draw_record,
+    good_prob,
+)
 from amplest.schedules import (
     Schedule,
     base_bounds,
@@ -57,6 +71,34 @@ def _curve(**fields):
 def _sweep_points(amplitudes):
     config = ExperimentConfig(mode="sweep", max_depth=2, amplitudes=amplitudes)
     return config.amplitudes, config.points
+
+
+ENTRY = {"depth": 2, "shots": 10, "hits": 3}
+
+
+def _record_builders(field):
+    """(name, call) pairs that build a record with ``field`` set to the value
+    passed, through the constructor and through ``from_dict``."""
+    if field in RecordEntry._fields:
+
+        def construct(v):
+            return MeasurementRecord((RecordEntry(**{**ENTRY, field: v}),))
+
+        def from_json(v):
+            return MeasurementRecord.from_dict({"entries": [{**ENTRY, field: v}]})
+
+    else:
+
+        def construct(v):
+            return MeasurementRecord(RECORD.entries, **{field: v})
+
+        def from_json(v):
+            return MeasurementRecord.from_dict({**RECORD.to_dict(), field: v})
+
+    return [
+        (f"MeasurementRecord.{field}", construct),
+        (f"MeasurementRecord.from_dict.{field}", from_json),
+    ]
 
 
 # Every public site that reads an integer: (call, argument name, a good
@@ -142,6 +184,16 @@ _INT_SITES = {
         1,
     ),
     "ExperimentConfig.amplitudes": (_sweep_points, "amplitudes", 3, 2),
+    **{
+        site: (call, field, good, least)
+        for field, good, least in [
+            ("depth", 2, 0),
+            ("shots", 10, 1),
+            ("hits", 3, 0),
+            ("seed", 3, None),
+        ]
+        for site, call in _record_builders(field)
+    },
 }
 
 # Every public site that reads an amplitude or a probability.
@@ -151,6 +203,7 @@ _UNIT_SITES = {
     "binomial_draw": (lambda v: binomial_draw(10, v, np.random.default_rng(1)), "p"),
     "StatePrep": (lambda v: StatePrep(2, frozenset({1}), v), "amplitude"),
     "ExperimentConfig.amplitudes": (lambda v: _sweep_points([v])[1], "amplitudes"),
+    **{site: (call, "a_true") for site, call in _record_builders("a_true")},
 }
 
 
@@ -218,6 +271,10 @@ class TestUnitRealRule:
     )
     def test_bad_value_is_refused_by_name(self, site, value):
         call, name = _UNIT_SITES[site]
+        if value is None and name == "a_true":
+            # a record without a true amplitude is one that was not simulated
+            assert call(value).a_true is None
+            return
         with pytest.raises(ValueError, match=f"^{name} must be a real number in"):
             call(value)
 
@@ -311,6 +368,15 @@ class TestShotLimit:
         with pytest.raises(ValueError, match="^n_shot must be at most"):
             draw_record(0.3, SCHEDULE, _NUMPY_MAX_N + 1, 3)
 
+    def test_binomial_draw_refuses_n_above_the_limit_by_name(self):
+        rng = np.random.default_rng(1)
+        with pytest.raises(ValueError, match="^n must be at most"):
+            binomial_draw(_NUMPY_MAX_N + 1, 0.5, rng)
+
+    def test_binomial_draw_draws_at_the_limit(self):
+        n = binomial_draw(np.uint64(_NUMPY_MAX_N), 0.5, np.random.default_rng(1))
+        assert type(n) is int and 0 < n < _NUMPY_MAX_N
+
     def test_draw_record_draws_at_the_limit(self):
         record = draw_record(0.3, SCHEDULE, _NUMPY_MAX_N, 3)
         assert max(e.shots for e in record.entries) == _NUMPY_MAX_N
@@ -354,3 +420,61 @@ class TestShotLimit:
             n_shot_list=[8, _NUMPY_MAX_N],
         )
         assert config.points == ((0.3, 8), (0.3, _NUMPY_MAX_N))
+
+
+class TestRecordRule:
+    def test_numpy_record_is_stored_plain_and_dumps(self):
+        entries = tuple(
+            RecordEntry(np.int64(d), np.uint32(n), np.int16(h))
+            for d, n, h in RECORD.entries
+        )
+        record = MeasurementRecord(entries, a_true=np.float32(0.3), seed=np.int64(5))
+        assert _plain(record)
+        assert type(record.a_true) is float and type(record.seed) is int
+        assert json.loads(json.dumps(record.to_dict())) == {
+            "entries": [e._asdict() for e in RECORD.entries],
+            "a_true": float(np.float32(0.3)),
+            "seed": 5,
+        }
+
+    @pytest.mark.parametrize("kind", [list, iter, tuple])
+    def test_entries_are_stored_as_a_tuple_of_record_entries(self, kind):
+        triples = [tuple(e) for e in RECORD.entries]
+        record = MeasurementRecord(kind(triples), a_true=0.3, seed=5)
+        assert type(record.entries) is tuple
+        assert all(type(e) is RecordEntry for e in record.entries)
+        assert record == MeasurementRecord(RECORD.entries, a_true=0.3, seed=5)
+        hash(record)
+
+    def test_a_plain_record_keeps_its_entries(self):
+        assert MeasurementRecord(RECORD.entries).entries is RECORD.entries
+
+    def test_hits_above_shots_at_one_depth_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="^hits must be at most 10, got 11"):
+            depth_log_likelihood(0.5, 0, 10, 11)
+
+    @pytest.mark.parametrize("build", ["construct", "from_dict"])
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ([(0, 10, 11)], "^hits must be at most 10 at depth 0"),
+            ([(4, 10, 1), (2, 10, 1)], "^record depths must be non-decreasing"),
+            ([(1, 10, 1), (-1, 10, 1)], "^depth must be at least 0"),
+        ],
+    )
+    def test_inconsistent_entries_are_refused_by_name(self, build, entries, message):
+        with pytest.raises(ValueError, match=message):
+            if build == "construct":
+                MeasurementRecord(tuple(RecordEntry(*e) for e in entries))
+            else:
+                data = [dict(zip(RecordEntry._fields, e)) for e in entries]
+                MeasurementRecord.from_dict({"entries": data})
+
+    def test_maximizer_and_reference_agree_on_a_numpy_record(self):
+        entries = tuple(RecordEntry(*map(np.int64, e)) for e in RECORD.entries)
+        record = MeasurementRecord(entries)
+        estimate = grid_maximize(record, 50)
+        assert estimate == grid_maximize(RECORD, 50)
+        assert record_log_likelihood(
+            estimate.theta_hat, record
+        ) == pytest.approx(estimate.log_likelihood, rel=1e-12)

@@ -31,6 +31,8 @@ PRINTED = {
         "ba4956af88e6c138e152cd52ce7edc8e3d2537161a0f8e25264b45aa1b951701",
     "plan --max-depth 16 --epsilon 1e-3 --grid-multiplier 3 --jitter":
         "824af01e5a2ea40e2c8baa9c8b432b0fe3440757f748e30a4e9804232e067a95",
+    "plan --max-depth 0 --epsilon 1e-2":
+        "56f15c534e11c4ab682470093ae6fcfb68561746f4dbbb5e6b9a295604f7b67d",
     "estimate --amplitude 0.3 --max-depth 16 --epsilon 1e-2 --seed 7":
         "9665e62d96f872d349c8c321ebd01f1db87b395b88de1932cd0268a4e49aa705",
     "estimate --amplitude 0.3 --max-depth 16 --epsilon 1e-2 --seed 7 --jitter":
@@ -65,6 +67,14 @@ WRITTEN = {
         "9410874a684c5be68cd922a92c4a1dab2481653cdac0f81cbb2f97ca38aecf04",
 }
 
+# the measurement record files that ``estimate --record`` writes
+RECORDED = {
+    "estimate --amplitude 0.3 --max-depth 16 --epsilon 1e-2 --seed 7":
+        "19dc810cb1b683df752fc56e41b6614adb2beac0df2254d3fc0eaf3124557a94",
+    "estimate --amplitude 0.3 --max-depth 16 --epsilon 1e-2 --seed 7 --jitter":
+        "c1e5078d5307c0acaee53f20732e7fbb6074ed82700cc3209c976030d837cd90",
+}
+
 # (epsilon, jittered, amplitude, seed) -> hits per scheduled depth at max
 # depth 16; n_shot is 12 or 13 at epsilon 1e-2 and 1111 or 1267 at 1e-3, so
 # both of numpy's binomial algorithms (inversion and BTPE) are pinned.
@@ -97,6 +107,14 @@ def test_written_file_bytes(command, threads, tmp_path):
 @pytest.mark.parametrize("command", sorted(PRINTED))
 def test_printed_json_bytes(command, capsys):
     main(command.split())
+    assert _sha256(capsys.readouterr().out.encode()) == PRINTED[command], NUMPY_NOTE
+
+
+@pytest.mark.parametrize("command", sorted(RECORDED))
+def test_record_file_bytes(command, capsys, tmp_path):
+    record = tmp_path / "record.json"
+    main([*command.split(), "--record", str(record)])
+    assert _sha256(record.read_bytes()) == RECORDED[command], NUMPY_NOTE
     assert _sha256(capsys.readouterr().out.encode()) == PRINTED[command], NUMPY_NOTE
 
 

@@ -338,6 +338,19 @@ class TestSerialization:
         assert data["beta"] == 0.5
         assert Schedule.from_dict(data) == s
 
+    def test_keys_follow_the_fields_with_parameters_last(self):
+        s = Schedule(
+            (0, 1), (ONE, ONE), kind="custom", beta=0.5, nu=2.0, spread_coeff=3.0
+        )
+        keys = ["kind", "depths", "fractions", "nu", "spread_coeff", "beta"]
+        assert list(s.to_dict()) == keys
+        assert Schedule.from_dict(s.to_dict()) == s
+
+    def test_jitter_keeps_the_base_parameters(self):
+        base = Schedule((0, 4, 16), (ONE,) * 3, kind="custom", nu=2.0, beta=0.5)
+        spread = jitter(base, 2.0)
+        assert (spread.nu, spread.spread_coeff, spread.beta) == (2.0, 2.0, 0.5)
+
     def test_absent_fields_omitted(self):
         data = exponential_schedule(4).to_dict()
         assert set(data) == {"kind", "depths", "fractions"}
