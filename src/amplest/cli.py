@@ -231,9 +231,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     for flag in ("out", "record"):
-        folder = os.path.dirname(getattr(args, flag, None) or ".") or "."
+        path = getattr(args, flag, None) or ""
+        folder = os.path.dirname(path) or "."
         if not os.path.isdir(folder):
             parser.error(f"--{flag}: directory {folder!r} does not exist")
+        if os.path.isdir(path):
+            parser.error(f"--{flag}: {path!r} is a directory")
     try:
         _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:

@@ -116,10 +116,8 @@ def required_shots(
     information never undershoots.
     """
     epsilon, delta = _epsilon(epsilon), _delta(delta)
-    if a is None:
-        scale = 0.25
-    else:
-        scale = positive_real(a, "a", 1.0) * (1.0 - a)
+    a = 0.5 if a is None else positive_real(a, "a", 1.0)
+    scale = a * (1.0 - a)
     z = erfinv(1.0 - delta)
     weight = info_weight_squared(schedule)
     raw = _per_epsilon_squared(2.0 * scale * z * z, weight, epsilon)
@@ -148,14 +146,14 @@ def speedup_factor(schedule: Schedule) -> float:
 
 def fisher_information(a: float, schedule: Schedule, n_shot: int) -> float:
     """Fisher information about ``a`` in a record of ``n_shot`` shots per depth."""
-    positive_real(a, "a", 1.0)
+    a = positive_real(a, "a", 1.0)
     n_shot = json_int(n_shot, "n_shot", 1)
     return n_shot * info_weight_squared(schedule) / (a * (1.0 - a))
 
 
 def average_error(a: float, schedule: Schedule, n_shot: int) -> float:
     """Root-mean-square estimation error under the Gaussian approximation."""
-    positive_real(a, "a", 1.0)
+    a = positive_real(a, "a", 1.0)
     n_shot = json_int(n_shot, "n_shot", 1)
     return math.sqrt(a * (1.0 - a) / n_shot) / info_weight(schedule)
 
@@ -178,7 +176,7 @@ def _exceptional_value(max_depth: int, k: int) -> float:
 
 def single_shot_fisher_info(a: float, depth: int) -> float:
     """Fisher information of one shot at one depth: (2d+1)^2 / (a(1-a))."""
-    positive_real(a, "a", 1.0)
+    a = positive_real(a, "a", 1.0)
     depth = json_int(depth, "depth", 0)
     return (2 * depth + 1) ** 2 / (a * (1.0 - a))
 

@@ -25,24 +25,20 @@ measurement record use ``derive_key(seed, depth_index)``; harness run
 seeds use ``derive_key(base_seed, mode_tag, point_index, run_index)``
 with the mode tags defined in :mod:`amplest.harness`.
 
-Opening substreams cheaply
---------------------------
 Building a Philox and a ``Generator`` costs several times as much as
-re-keying one, so each thread keeps one :class:`Substreams`, built on its
-first call to :func:`thread_substreams` (never at import), and re-keys its
-generator in place for every substream; a re-keyed generator is in the
-state a fresh ``substream`` would start in. :func:`record_keys` returns a
-record's depth keys ``derive_key(seed, j)`` with the fold of ``seed``
-computed once per record and the ``mix64(j)`` read from a bounded
-``functools.lru_cache`` of one tuple per record length, shared by the
-process's threads, so each depth costs one ``mix64``. Neither changes a
-key or a draw.
+re-keying one, so :func:`record_streams` opens a record's depth substreams
+by re-keying one generator per thread, built on first use (never at
+import), to the state a fresh ``substream`` starts in. It folds the seed
+once and reads each ``mix64(j)`` from a bounded cache shared by the
+process's threads. Neither the re-keying nor the cache changes a key or a
+draw.
 """
 
 from __future__ import annotations
 
 import threading
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -71,45 +67,7 @@ def substream(*parts: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=derive_key(*parts)))
 
 
-class Substreams:
-    """Successive substreams drawn from one Philox generator, re-keyed in place.
-
-    ``open_key(derive_key(*parts))`` puts the generator in the state
-    ``substream(*parts)`` starts in (that key, counter 0, empty buffer) and
-    returns it, which saves building a bit generator and a ``Generator`` per
-    substream. A generator returned earlier is the same object and moves on.
-    One instance serves one thread at a time.
-    """
-
-    def __init__(self) -> None:
-        self._bit_generator = np.random.Philox(key=0)
-        self._generator = np.random.Generator(self._bit_generator)
-        state = self._bit_generator.state
-        # The state setter reads item by item, and list items read faster
-        # than numpy array items.
-        self._fresh = {
-            **state,
-            "state": {k: v.tolist() for k, v in state["state"].items()},
-            "buffer": state["buffer"].tolist(),
-        }
-
-    def open_key(self, key: int) -> np.random.Generator:
-        # A 64-bit key fills the low word of Philox's two-word key.
-        self._fresh["state"]["key"][0] = key
-        self._bit_generator.state = self._fresh
-        return self._generator
-
-
 _thread = threading.local()
-
-
-def thread_substreams() -> Substreams:
-    """The calling thread's :class:`Substreams`, built on first use."""
-    try:
-        return _thread.streams
-    except AttributeError:
-        _thread.streams = Substreams()
-        return _thread.streams
 
 
 @lru_cache(maxsize=64)
@@ -118,7 +76,31 @@ def _index_mixes(count: int) -> tuple[int, ...]:
     return tuple(map(mix64, range(count)))
 
 
-def record_keys(seed: int, count: int) -> list[int]:
-    """``[derive_key(seed, j) for j in range(count)]``, folding ``seed`` once."""
-    head = mix64(_FOLD_INIT ^ mix64(seed & _MASK64))
-    return [mix64(head ^ m) for m in _index_mixes(count)]
+def record_streams(seed: int, count: int) -> Iterator[np.random.Generator]:
+    """For each ``j < count``, the calling thread's generator in the state
+    ``substream(seed, j)`` starts in (that key, counter 0, empty buffer).
+
+    Every item is the same object, re-keyed in place, so the one yielded
+    before moves on.
+    """
+    try:
+        bit_generator, generator, fresh = _thread.streams
+    except AttributeError:
+        bit_generator = np.random.Philox(key=0)
+        generator = np.random.Generator(bit_generator)
+        state = bit_generator.state
+        # The state setter reads item by item, and list items read faster
+        # than numpy array items.
+        fresh = {
+            **state,
+            "state": {k: v.tolist() for k, v in state["state"].items()},
+            "buffer": state["buffer"].tolist(),
+        }
+        _thread.streams = bit_generator, generator, fresh
+    # A 64-bit key fills the low word of Philox's two-word key.
+    key = fresh["state"]["key"]
+    head = derive_key(seed)
+    for m in _index_mixes(count):
+        key[0] = mix64(head ^ m)
+        bit_generator.state = fresh
+        yield generator

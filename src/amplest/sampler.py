@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from ._util import json_int, unit_real
-from .rng import record_keys, thread_substreams
+from .rng import record_streams
 from .schedules import Schedule
 
 __all__ = [
@@ -162,10 +162,9 @@ def draw_record(
     depths = schedule.depths
     shots = schedule.shots(json_int(n_shot, "n_shot", 1, _MAX_BINOMIAL_N))
     theta = angle_from_amplitude(a)
-    streams = thread_substreams()
     entries = []
-    for key, depth, n in zip(record_keys(seed, len(depths)), depths, shots):
+    for rng, depth, n in zip(record_streams(seed, len(depths)), depths, shots):
         # n comes from a judged n_shot, and p, a sin^2, lies in [0, 1]
-        hits = _binomial(n, good_prob(theta, depth), streams.open_key(key))
+        hits = _binomial(n, good_prob(theta, depth), rng)
         entries.append(RecordEntry(depth, n, hits))
     return MeasurementRecord(tuple(entries), a_true=a, seed=seed)

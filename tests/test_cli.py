@@ -164,38 +164,59 @@ class TestShotsNumpyCannotDraw:
         assert json.loads(capsys.readouterr().out)["n_shot"] > 2**63 - 1
 
 
+# one command per way an output path is given, with the flag that names it
+_OUTPUT_FLAGS = pytest.mark.parametrize(
+    "flags, flag",
+    [
+        (["sweep", "--max-depth", "16", "--epsilon", "1e-3", "--points", "200",
+          "--out"], "out"),
+        (["estimate", "--max-depth", "4", "--epsilon", "1e-2",
+          "--amplitude", "0.3", "--seed", "1", "--record"], "record"),
+        (["call-ratio", "--depths", "4", "--epsilon", "1e-2", "--out"], "out"),
+    ],
+    ids=["sweep", "estimate", "call-ratio"],
+)
+
+
+def _refused_before_any_work(argv, monkeypatch, capsys) -> str:
+    """The last stderr line of ``main(argv)``, which must exit with code 2
+    after one error line and without running the command."""
+
+    def no_work(args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setitem(cli._COMMANDS, argv[0], no_work)
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    printed, err = capsys.readouterr()
+    assert printed == ""
+    assert err.count("amplest: error:") == 1
+    return err.splitlines()[-1]
+
+
 class TestOutputPaths:
-    @pytest.mark.parametrize(
-        "flags, flag",
-        [
-            (["sweep", "--max-depth", "16", "--epsilon", "1e-3", "--points", "200",
-              "--out"], "out"),
-            (["estimate", "--max-depth", "4", "--epsilon", "1e-2",
-              "--amplitude", "0.3", "--seed", "1", "--record"], "record"),
-            (["call-ratio", "--depths", "4", "--epsilon", "1e-2", "--out"], "out"),
-        ],
-        ids=["sweep", "estimate", "call-ratio"],
-    )
+    @_OUTPUT_FLAGS
     def test_missing_directory_is_refused_before_any_work(
         self, flags, flag, capsys, tmp_path, monkeypatch
     ):
-        def no_work(args):
-            raise AssertionError("the command ran")
+        argv = [*flags, str(tmp_path / "missing" / "x")]
+        last = _refused_before_any_work(argv, monkeypatch, capsys)
+        assert last.startswith(f"amplest: error: --{flag}: directory")
 
-        monkeypatch.setitem(cli._COMMANDS, flags[0], no_work)
-        with pytest.raises(SystemExit) as info:
-            main([*flags, str(tmp_path / "missing" / "x")])
-        assert info.value.code == 2
-        printed, err = capsys.readouterr()
-        assert printed == ""
-        assert err.count("amplest: error:") == 1
-        assert err.splitlines()[-1].startswith(f"amplest: error: --{flag}: directory")
+    @_OUTPUT_FLAGS
+    def test_directory_path_is_refused_before_any_work(
+        self, flags, flag, capsys, tmp_path, monkeypatch
+    ):
+        last = _refused_before_any_work([*flags, str(tmp_path)], monkeypatch, capsys)
+        assert last == f"amplest: error: --{flag}: {str(tmp_path)!r} is a directory"
 
     def test_failed_write_is_one_error_line(self, capsys, tmp_path):
-        # the path is a directory, which open() refuses only at the write
+        # a file name longer than the file system allows, which open() refuses
+        # only at the write
         flags = ["sweep", "--max-depth", "2", "--epsilon", "1e-2", "--points", "3"]
         with pytest.raises(SystemExit) as info:
-            main([*flags, "--out", str(tmp_path)])
+            main([*flags, "--out", str(tmp_path / ("x" * 300))])
         assert info.value.code == 2
         err = capsys.readouterr().err
         assert err.count("amplest: error:") == 1

@@ -7,9 +7,10 @@ floor. Amplitudes and probabilities are reals in [0, 1]: a numpy float or a
 ``Fraction`` is accepted and stored as ``float``; bools, strings, NaN and
 values outside [0, 1] are refused by name. Schedule parameters are finite
 positive reals, read the same way; the planning fields' table of them is in
-``tests/test_planner.py``. A measurement record reads its depths, shots,
-hits and seed by the integer rule and its ``a_true`` by the [0, 1] rule,
-whether it is built directly or from JSON.
+``tests/test_planner.py``. A planner function that reads an amplitude in
+(0, 1) computes with the float it read. A measurement record reads its
+depths, shots, hits and seed by the integer rule and its ``a_true`` by the
+[0, 1] rule, whether it is built directly or from JSON.
 """
 
 import dataclasses
@@ -32,6 +33,7 @@ from amplest.planner import (
     exceptional_values,
     fisher_information,
     make_plan,
+    required_shots,
     single_shot_fisher_info,
 )
 from amplest.sampler import (
@@ -219,6 +221,15 @@ _POSITIVE_REAL_SITES = {
     "jitter": (lambda v: jitter(SCHEDULE, v), "spread_coeff", None),
 }
 
+# Every planner function that reads an amplitude in (0, 1) and computes with
+# it. At epsilon 1e-4 a float32 amplitude would move required_shots by one.
+_AMPLITUDE_SITES = {
+    "fisher_information": lambda a: fisher_information(a, SCHEDULE, 10),
+    "average_error": lambda a: average_error(a, SCHEDULE, 10),
+    "single_shot_fisher_info": lambda a: single_shot_fisher_info(a, 3),
+    "required_shots": lambda a: required_shots(1e-4, 0.01, SCHEDULE, a=a),
+}
+
 
 def _plain(value) -> bool:
     """True when no numpy scalar hides anywhere in ``value``."""
@@ -323,6 +334,15 @@ class TestPositiveRealRule:
         assert _plain(result)
         json.dumps(result.to_dict())
 
+    @pytest.mark.parametrize("site", sorted(_AMPLITUDE_SITES))
+    def test_planner_computes_with_the_float_it_reads(self, site):
+        call = _AMPLITUDE_SITES[site]
+        a = np.float32(0.3)  # not the float 0.3, and float32 arithmetic rounds
+        result = call(a)
+        assert result == call(float(a))
+        assert _plain(result)
+        json.dumps(result)
+
     @pytest.mark.parametrize("field", ["nu", "spread_coeff", "beta"])
     @pytest.mark.parametrize(
         "value",
@@ -340,6 +360,14 @@ class TestPositiveRealRule:
     )
     def test_depth_count_beyond_a_float_is_refused_by_name(self, beta, epsilon):
         with pytest.raises(ValueError, match="^epsilon is too small for a finite"):
+            polynomial_schedule(beta, epsilon)
+
+    @pytest.mark.parametrize(
+        "beta, epsilon", [(0.5, 1e-6), (1.0, 1e-4), (0.5, 1e-9), (0.01, 1e-300)]
+    )
+    def test_depth_count_beyond_the_limit_is_refused_by_name(self, beta, epsilon):
+        message = f"^epsilon is too small .* at most {2**16} at beta {beta!r}"
+        with pytest.raises(ValueError, match=message):
             polynomial_schedule(beta, epsilon)
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amplest.planner import exceptional_values
-from amplest.rng import Substreams, derive_key, mix64, record_keys, substream
+from amplest.rng import derive_key, mix64, record_streams, substream
 from amplest.sampler import (
     MeasurementRecord,
     RecordEntry,
@@ -178,32 +178,40 @@ class TestDrawRecord:
 
 
 class TestSubstreams:
-    def test_reopened_stream_matches_a_fresh_one(self):
-        streams = Substreams()
-        for parts in [(3, 0), (3, 1), (2**64 - 1, 7), (3, 0)]:
-            rng = streams.open_key(derive_key(*parts))
+    @pytest.mark.parametrize("seed", [3, 2**64 - 1, -12345])
+    def test_each_stream_draws_what_a_fresh_one_draws(self, seed):
+        count = 0
+        for j, rng in enumerate(record_streams(seed, 4)):
             got = [rng.binomial(1000, 0.3), *rng.integers(0, 2**63, size=5)]
-            fresh = substream(*parts)
+            fresh = substream(seed, j)
             assert got == [fresh.binomial(1000, 0.3), *fresh.integers(0, 2**63, size=5)]
+            count += 1
+        assert count == 4
 
     @given(
         seed=st.integers(-(2**70), 2**70),
         count=st.integers(0, 40),
     )
     @settings(max_examples=300)
-    def test_record_keys_match_derive_key(self, seed, count):
-        assert record_keys(seed, count) == [derive_key(seed, j) for j in range(count)]
+    def test_stream_keys_match_derive_key(self, seed, count):
+        keys = [
+            int(rng.bit_generator.state["state"]["key"][0])
+            for rng in record_streams(seed, count)
+        ]
+        assert keys == [derive_key(seed, j) for j in range(count)]
 
     def test_import_builds_no_generator(self):
         assert has_thread_streams("import amplest, amplest.cli") is False
 
-    def test_record_keys_build_no_generator(self):
-        code = "from amplest.rng import record_keys; record_keys(5, 10)"
+    def test_first_iteration_builds_the_generator(self):
+        code = "from amplest.rng import record_streams; streams = record_streams(5, 2)"
         assert has_thread_streams(code) is False
+        assert has_thread_streams(code + "; next(streams)") is True
 
 
 def has_thread_streams(code: str) -> bool:
-    """Whether running ``code`` in a fresh interpreter built a thread's Substreams."""
+    """Whether running ``code`` in a fresh interpreter built the generator that
+    :func:`record_streams` re-keys."""
     code += "; import amplest.rng as rng; print(hasattr(rng._thread, 'streams'))"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run(
