@@ -14,25 +14,21 @@ if TYPE_CHECKING:
 
 # The library names the handlers call, by module. Each is imported on first
 # use (PEP 562) and then kept on this module, so a command loads only what it
-# runs: ``plan`` and ``exceptional`` need the planner alone, and no command
-# but ``validate-oracle`` loads the statevector. Handlers read the names
-# through ``_cli``, so a name replaced on the module is the one they call.
+# runs: ``plan`` and ``exceptional`` need the planner alone. Handlers read the
+# names through ``_cli``, so a name replaced on the module is the one they call.
 _SOURCES = {
-    "_util": ("json_int",),
     "harness": (
-        "MODE_TAGS",
         "ExperimentConfig",
         "call_ratio_table",
         "exceptional_region_scan",
+        "oracle_validation",
         "precision_curve",
         "sweep_amplitudes",
         "write_rows",
     ),
     "likelihood": ("grid_maximize",),
     "planner": ("exceptional_values", "make_plan"),
-    "rng": ("substream",),
-    "sampler": ("angle_from_amplitude", "draw_record", "good_prob"),
-    "statevector": ("StatePrep", "grover_power_prob"),
+    "sampler": ("draw_record",),
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
 _cli = sys.modules[__name__]
@@ -191,28 +187,8 @@ def _cmd_call_ratio(args: argparse.Namespace) -> None:
 
 
 def _cmd_validate_oracle(args: argparse.Namespace) -> None:
-    # a check over no qubit, trial or power would report a deviation of 0
-    qubits = _cli.json_int(args.qubits, "qubits", 1)
-    trials = _cli.json_int(args.trials, "trials", 1)
-    max_power = _cli.json_int(args.max_power, "max_power", 0)
-    worst = 0.0
-    cases = 0
-    tag = _cli.MODE_TAGS["oracle_validation"]
-    for n in range(1, qubits + 1):
-        dim = 1 << n
-        for trial in range(trials):
-            rng = _cli.substream(args.seed, tag, n, trial)
-            size = int(rng.integers(1, dim))
-            good = frozenset(int(i) for i in rng.choice(dim, size=size, replace=False))
-            a = float(rng.uniform(0.0, 1.0))
-            sp = _cli.StatePrep(n_qubits=n, good_set=good, amplitude=a)
-            theta = _cli.angle_from_amplitude(a)
-            for power in range(max_power + 1):
-                simulated = _cli.grover_power_prob(sp, power)
-                expected = _cli.good_prob(theta, power)
-                worst = max(worst, abs(simulated - expected))
-                cases += 1
-    print(json.dumps({"max_abs_deviation": worst, "cases": cases}))
+    report = _cli.oracle_validation(args.qubits, args.trials, args.max_power, args.seed)
+    print(json.dumps(report))
 
 
 _COMMANDS = {

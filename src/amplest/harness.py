@@ -9,7 +9,8 @@ keeps the (1 - delta)-quantile of absolute error; its points run over
 (amplitude, shots) pairs in row-major order. An ``exceptional_region`` scan
 is a precision curve at the planned shots over the +-4 epsilon band around
 one exceptional value; the band must lie inside [0, 1]. Rows are projected
-onto ``CSV_COLUMNS[mode]``.
+onto ``CSV_COLUMNS[mode]``. :func:`oracle_validation` checks the closed-form
+probability those runs draw from against a dense statevector.
 
 Points run in forked worker processes (:func:`_map_points`). With ``w``
 workers, child ``k`` inherits the config through ``os.fork`` and returns
@@ -53,8 +54,8 @@ from .planner import (
     make_plan,
     required_shots,
 )
-from .rng import derive_key
-from .sampler import _MAX_BINOMIAL_N, draw_record
+from .rng import derive_key, substream
+from .sampler import _MAX_BINOMIAL_N, angle_from_amplitude, draw_record, good_prob
 
 __all__ = [
     "MODE_TAGS",
@@ -65,6 +66,7 @@ __all__ = [
     "precision_curve",
     "exceptional_region_scan",
     "call_ratio_table",
+    "oracle_validation",
     "write_rows",
 ]
 
@@ -241,18 +243,11 @@ def _usable_cores() -> int:
 def _worker_count(n_points: int) -> int:
     """``AMPLEST_THREADS`` (default: usable cores), at most one per point."""
     env = os.environ.get("AMPLEST_THREADS")
-    if env is None:
-        count = _usable_cores()
-    else:
-        try:
-            count = int(env)
-        except ValueError:
-            raise ValueError(
-                f"AMPLEST_THREADS must be an integer, got {env!r}"
-            ) from None
-        if count < 1:
-            raise ValueError("AMPLEST_THREADS must be at least 1")
-    return min(count, n_points)
+    try:
+        count: object = _usable_cores() if env is None else int(env)
+    except ValueError:  # json_int refuses the text by name
+        count = env
+    return min(json_int(count, "AMPLEST_THREADS", 1), n_points)
 
 
 def _map_points(config: ExperimentConfig) -> list[dict]:
@@ -370,6 +365,28 @@ def call_ratio_table(
         row = (d, plain, spread, spread / plain)
         rows.append(dict(zip(CSV_COLUMNS["call_ratio"], row)))
     return rows
+
+
+def oracle_validation(qubits: int, trials: int, max_power: int, seed: int) -> dict:
+    """Largest gap of ``statevector.grover_power_prob`` from ``good_prob`` over
+    powers 0..``max_power``, all inputs judged first; trial ``t`` on ``n`` qubits
+    draws from ``substream(seed, MODE_TAGS["oracle_validation"], n, t)``."""
+    from .statevector import MAX_QUBITS, StatePrep, grover_power_prob
+    qubits = json_int(qubits, "qubits", 1, MAX_QUBITS)
+    trials = json_int(trials, "trials", 1)
+    max_power = json_int(max_power, "max_power", 0)
+    seed = json_int(seed, "seed")
+    worst = 0.0
+    for n in range(1, qubits + 1):
+        dim = 1 << n
+        for trial in range(trials):
+            rng = substream(seed, MODE_TAGS["oracle_validation"], n, trial)
+            good = frozenset(rng.choice(dim, rng.integers(1, dim), replace=False))
+            a = float(rng.uniform(0.0, 1.0))
+            sp, theta = StatePrep(n, good, a), angle_from_amplitude(a)
+            for d in range(max_power + 1):
+                worst = max(worst, abs(grover_power_prob(sp, d) - good_prob(theta, d)))
+    return {"max_abs_deviation": worst, "cases": qubits * trials * (max_power + 1)}
 
 
 def write_rows(path: str, mode: str, rows: Iterable[dict]) -> None:

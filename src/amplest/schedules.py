@@ -192,8 +192,10 @@ def exponential_schedule_to_depth(max_depth: int) -> Schedule:
     return Schedule(tuple(depths), _unit_fractions(q), kind="exp_nu", nu=best_nu)
 
 
-# The most depths polynomial_schedule builds; 2^16 take ~0.1 s on 2 vCPUs.
+# The most depths polynomial_schedule builds (2^16 take ~0.1 s on 2 vCPUs), and
+# its largest depth: the largest d whose 2d + 1 is exact in a float.
 _MAX_POLY_DEPTHS = 2**16
+_MAX_POLY_DEPTH = 2**52 - 1
 
 
 def polynomial_schedule(beta: float, epsilon: float) -> Schedule:
@@ -201,9 +203,9 @@ def polynomial_schedule(beta: float, epsilon: float) -> Schedule:
 
     ``q = ceil(max(epsilon^(-2*beta), ln(1/epsilon)))``. Duplicate depths are
     kept: each entry is an independent measurement batch, and collapsing
-    them would change the call count. ``beta`` lies in (0, 1] and
-    ``epsilon`` in (0, 1); an ``epsilon`` whose ``max(...)`` exceeds
-    2^16 at that ``beta`` is refused before any depth is built.
+    them would change the call count. ``beta`` lies in (0, 1] and ``epsilon``
+    in (0, 1). Refused before any depth is built: more than 2^16 depths, and
+    then a largest depth above 2^52 - 1.
     """
     beta = positive_real(beta, "beta")
     if beta > 1.0:
@@ -220,6 +222,11 @@ def polynomial_schedule(beta: float, epsilon: float) -> Schedule:
         )
     q = ceil_guarded(raw)
     exponent = (1.0 - beta) / (2.0 * beta)
+    # capped at 53, the power stays finite (q <= 2^16) and passes the bound from q = 2
+    if round_half_away(q ** min(exponent, 53.0)) > _MAX_POLY_DEPTH:
+        raise ValueError(
+            f"beta {beta!r} gives depths above {_MAX_POLY_DEPTH} at epsilon {epsilon!r}"
+        )
     depths = tuple(round_half_away(j**exponent) for j in range(1, q + 1))
     return Schedule(depths, _unit_fractions(q), kind="poly", beta=beta)
 

@@ -118,7 +118,7 @@ class TestValidateOracleCommand:
     @pytest.mark.parametrize(
         "flag, value, field",
         [("--qubits", "0", "qubits"), ("--trials", "0", "trials"),
-         ("--max-power", "-1", "max_power")],
+         ("--max-power", "-1", "max_power"), ("--qubits", "13", "qubits")],
     )
     def test_a_check_of_no_case_is_refused(self, capsys, flag, value, field):
         with pytest.raises(SystemExit) as info:

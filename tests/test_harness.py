@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 import signal
@@ -13,6 +14,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import amplest.harness as harness
+import amplest.statevector as statevector
+from amplest.cli import main
 from amplest.harness import (
     CSV_COLUMNS,
     MODE_TAGS,
@@ -20,6 +23,7 @@ from amplest.harness import (
     achieved_precision,
     call_ratio_table,
     exceptional_region_scan,
+    oracle_validation,
     precision_curve,
     sweep_amplitudes,
     write_rows,
@@ -32,6 +36,7 @@ from amplest.planner import (
     total_calls,
 )
 from amplest.rng import substream
+from amplest.sampler import angle_from_amplitude, good_prob
 from amplest.schedules import exponential_schedule_to_depth, jitter
 
 
@@ -274,6 +279,36 @@ class TestCallRatio:
     def test_empty(self):
         with pytest.raises(ValueError):
             call_ratio_table([], 1e-3, 0.01, 2.0)
+
+
+class TestOracleValidation:
+    def test_trial_t_on_n_qubits_reads_its_own_substream(self):
+        worst = 0.0
+        for n in (1, 2, 3):
+            for t in range(3):
+                rng = substream(5, MODE_TAGS["oracle_validation"], n, t)
+                size = int(rng.integers(1, 2**n))
+                good = rng.choice(2**n, size=size, replace=False).tolist()
+                a = float(rng.uniform(0.0, 1.0))
+                prep = statevector.StatePrep(n, frozenset(good), a)
+                for d in range(4):
+                    simulated = statevector.grover_power_prob(prep, d)
+                    gap = abs(simulated - good_prob(angle_from_amplitude(a), d))
+                    worst = max(worst, gap)
+        report = oracle_validation(3, 3, 3, 5)
+        assert list(report.items()) == [("max_abs_deviation", worst), ("cases", 36)]
+
+    def test_too_many_qubits_are_refused_before_any_state_is_built(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(statevector, "StatePrep", lambda *a: built.append(a))
+        with pytest.raises(ValueError, match="^qubits must be at most 12, got 13"):
+            oracle_validation(13, 20, 8, 0)
+        assert not built
+
+    def test_the_command_prints_the_report(self, capsys):
+        main(["validate-oracle", "--qubits", "2", "--trials", "3", "--seed", "-4"])
+        report = oracle_validation(2, 3, 8, -4)
+        assert capsys.readouterr().out == json.dumps(report) + "\n"
 
 
 class TestCsvOutput:

@@ -16,12 +16,13 @@ depths, shots, hits and seed by the integer rule and its ``a_true`` by the
 import dataclasses
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from amplest.harness import ExperimentConfig
+from amplest.harness import ExperimentConfig, oracle_validation
 from amplest.likelihood import (
     depth_log_likelihood,
     grid_angles,
@@ -59,6 +60,7 @@ ONE = Fraction(1)
 SCHEDULE = exponential_schedule(3)
 RECORD = draw_record(0.3, SCHEDULE, 10, 5)
 PREP = StatePrep(2, frozenset({1}), 0.3)
+ORACLE = {"qubits": 2, "trials": 1, "max_power": 1, "seed": 3}
 
 
 def _curve(**fields):
@@ -196,6 +198,20 @@ _INT_SITES = {
         ]
         for site, call in _record_builders(field)
     },
+    **{
+        f"oracle_validation.{field}": (
+            lambda v, field=field: oracle_validation(**{**ORACLE, field: v}),
+            field,
+            ORACLE[field],
+            least,
+        )
+        for field, least in [
+            ("qubits", 1),
+            ("trials", 1),
+            ("max_power", 0),
+            ("seed", None),
+        ]
+    },
 }
 
 # Every public site that reads an amplitude or a probability.
@@ -239,6 +255,8 @@ def _plain(value) -> bool:
         return all(_plain(getattr(value, f.name)) for f in dataclasses.fields(value))
     if isinstance(value, (tuple, list, frozenset)):
         return all(map(_plain, value))
+    if isinstance(value, dict):
+        return all(map(_plain, value.values()))
     return True
 
 
@@ -369,6 +387,21 @@ class TestPositiveRealRule:
         message = f"^epsilon is too small .* at most {2**16} at beta {beta!r}"
         with pytest.raises(ValueError, match=message):
             polynomial_schedule(beta, epsilon)
+
+    @pytest.mark.parametrize("beta, epsilon", [(0.0005, 0.01), (0.002, 0.1)])
+    def test_depth_beyond_the_limit_is_refused_by_name(self, beta, epsilon):
+        # the first overflowed j**exponent, the second built a 120-digit depth
+        message = f"beta {beta!r} gives depths above {2**52 - 1} at epsilon {epsilon!r}"
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            polynomial_schedule(beta, epsilon)
+
+    def test_largest_depth_is_bounded_where_2d_plus_1_stays_exact(self):
+        # at epsilon 0.5 there are two depths, 1 and round(2^exponent)
+        inside = polynomial_schedule(1 / 104.98, 0.5)  # exponent 51.99
+        assert 2**51 < inside.depths[-1] <= 2**52 - 1
+        assert float(2 * inside.depths[-1] + 1) == 2 * inside.depths[-1] + 1
+        with pytest.raises(ValueError, match="^beta .* gives depths above"):
+            polynomial_schedule(1 / 105.02, 0.5)  # exponent 52.01
 
 
 class TestScheduleFractions:

@@ -63,6 +63,11 @@ class TestWhatEachCommandLoads:
         assert {"amplest.harness", "amplest.likelihood", "numpy.random"} <= imported
         assert "amplest.statevector" not in imported
 
+    def test_the_oracle_check_loads_the_statevector(self, tmp_path):
+        args = ["validate-oracle", "--qubits", "2", "--trials", "2"]
+        imported = _imported(*args, cwd=tmp_path)
+        assert {"amplest.harness", "amplest.statevector"} <= imported
+
 
 class TestProcessEnd:
     @pytest.mark.parametrize(
