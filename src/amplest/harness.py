@@ -356,6 +356,7 @@ def call_ratio_table(
     d_list: Sequence[int], eps: float, delta: float, c: float
 ) -> list[dict]:
     """Jittered versus unjittered call counts per maximum depth; no sampling."""
+    d_list = [json_int(d, "d_list", 1) for d in d_list]
     if not d_list:
         raise ValueError("d_list must be non-empty")
     rows = []
@@ -368,10 +369,11 @@ def call_ratio_table(
 
 
 def oracle_validation(qubits: int, trials: int, max_power: int, seed: int) -> dict:
-    """Largest gap of ``statevector.grover_power_prob`` from ``good_prob`` over
+    """Largest gap of ``statevector.grover_power_probs`` from ``good_prob`` over
     powers 0..``max_power``, all inputs judged first; trial ``t`` on ``n`` qubits
-    draws from ``substream(seed, MODE_TAGS["oracle_validation"], n, t)``."""
-    from .statevector import MAX_QUBITS, StatePrep, grover_power_prob
+    draws from ``substream(seed, MODE_TAGS["oracle_validation"], n, t)``, and
+    its one state is stepped through the powers."""
+    from .statevector import MAX_QUBITS, StatePrep, grover_power_probs
     qubits = json_int(qubits, "qubits", 1, MAX_QUBITS)
     trials = json_int(trials, "trials", 1)
     max_power = json_int(max_power, "max_power", 0)
@@ -384,8 +386,8 @@ def oracle_validation(qubits: int, trials: int, max_power: int, seed: int) -> di
             good = frozenset(rng.choice(dim, rng.integers(1, dim), replace=False))
             a = float(rng.uniform(0.0, 1.0))
             sp, theta = StatePrep(n, good, a), angle_from_amplitude(a)
-            for d in range(max_power + 1):
-                worst = max(worst, abs(grover_power_prob(sp, d) - good_prob(theta, d)))
+            for d, p in enumerate(grover_power_probs(sp, max_power)):
+                worst = max(worst, abs(p - good_prob(theta, d)))
     return {"max_abs_deviation": worst, "cases": qubits * trials * (max_power + 1)}
 
 

@@ -41,6 +41,9 @@ __all__ = [
 _KINDS = ("exp", "exp_nu", "poly", "jittered", "custom")
 # The optional parameters of a schedule, each a finite positive real
 _PARAMETERS = ("nu", "spread_coeff", "beta")
+# The largest depth of any schedule: the largest d whose 2d + 1 is exact in a
+# float, as good_prob and the likelihood's factors compute it.
+_MAX_DEPTH = 2**52 - 1
 
 
 def round_half_away(x: float) -> int:
@@ -52,9 +55,10 @@ def round_half_away(x: float) -> int:
 class Schedule:
     """An ordered list of Grover depths with per-depth shot fractions.
 
-    ``depths`` are ints >= 0 and ``fractions`` exact rationals (a ``Fraction``
-    or an int, stored as ``Fraction``) so that jitter-group sums can be
-    checked without drift; they are 1 everywhere for unjittered kinds.
+    ``depths`` are ints in [0, 2^52 - 1], so every 2d + 1 is an exact float,
+    and ``fractions`` exact rationals (a ``Fraction`` or an int, stored as
+    ``Fraction``) so that jitter-group sums can be checked without drift;
+    they are 1 everywhere for unjittered kinds.
     ``nu`` is the geometric base of an ``exp_nu`` schedule, ``spread_coeff``
     the jitter coefficient, and ``beta`` the polynomial depth-exponent
     parameter; each is present only where it applies, and then a finite
@@ -74,7 +78,7 @@ class Schedule:
         for name in _PARAMETERS:
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, positive_real(getattr(self, name), name))
-        depths = tuple(json_int(d, "depths", 0) for d in self.depths)
+        depths = tuple(json_int(d, "depths", 0, _MAX_DEPTH) for d in self.depths)
         fractions = tuple(
             f if isinstance(f, Fraction) else Fraction(json_int(f, "fractions"))
             for f in self.fractions
@@ -176,9 +180,10 @@ def exponential_schedule_to_depth(max_depth: int) -> Schedule:
     The base ``nu = max_depth**(1/m)`` is chosen, over integer m >= 1, as the
     value closest to 2, so the schedule stays near the plain doubling one
     while hitting ``max_depth`` exactly. Ties prefer the smaller m (larger
-    base), which uses fewer depths. ``max_depth = 1`` degenerates to {0, 1}.
+    base), which uses fewer depths. ``max_depth = 1`` degenerates to {0, 1};
+    a ``max_depth`` above 2^52 - 1 is refused.
     """
-    max_depth = json_int(max_depth, "max_depth", 1)
+    max_depth = json_int(max_depth, "max_depth", 1, _MAX_DEPTH)
     if max_depth == 1:
         return Schedule((0, 1), _unit_fractions(2), kind="exp_nu")
     best_m, best_nu = 1, float(max_depth)
@@ -192,10 +197,8 @@ def exponential_schedule_to_depth(max_depth: int) -> Schedule:
     return Schedule(tuple(depths), _unit_fractions(q), kind="exp_nu", nu=best_nu)
 
 
-# The most depths polynomial_schedule builds (2^16 take ~0.1 s on 2 vCPUs), and
-# its largest depth: the largest d whose 2d + 1 is exact in a float.
+# The most depths polynomial_schedule builds (2^16 take ~0.1 s on 2 vCPUs).
 _MAX_POLY_DEPTHS = 2**16
-_MAX_POLY_DEPTH = 2**52 - 1
 
 
 def polynomial_schedule(beta: float, epsilon: float) -> Schedule:
@@ -223,9 +226,9 @@ def polynomial_schedule(beta: float, epsilon: float) -> Schedule:
     q = ceil_guarded(raw)
     exponent = (1.0 - beta) / (2.0 * beta)
     # capped at 53, the power stays finite (q <= 2^16) and passes the bound from q = 2
-    if round_half_away(q ** min(exponent, 53.0)) > _MAX_POLY_DEPTH:
+    if round_half_away(q ** min(exponent, 53.0)) > _MAX_DEPTH:
         raise ValueError(
-            f"beta {beta!r} gives depths above {_MAX_POLY_DEPTH} at epsilon {epsilon!r}"
+            f"beta {beta!r} gives depths above {_MAX_DEPTH} at epsilon {epsilon!r}"
         )
     depths = tuple(round_half_away(j**exponent) for j in range(1, q + 1))
     return Schedule(depths, _unit_fractions(q), kind="poly", beta=beta)

@@ -14,28 +14,44 @@ one differs only by a global phase, which probabilities cannot see, and
 the reflection about |A> is what the sandwich of the preparation unitary
 around the zero-state reflection does on the relevant two-dimensional
 subspace.
+
+A :class:`StatePrep` builds |A> and its boolean good mask once, as read-only
+arrays that every application reads. :func:`grover_power_probs` steps one
+state through the powers ``0..max_power``; the state at power ``k + 1`` is
+the state at power ``k`` after one more application, so each power gives
+the bits a fresh start from |A> would.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._util import json_int, unit_real
 
-__all__ = ["StatePrep", "prepare_state", "apply_grover", "grover_power_prob"]
+__all__ = [
+    "StatePrep", "prepare_state", "apply_grover", "grover_power_probs",
+    "grover_power_prob",
+]
 
 MAX_QUBITS = 12
 
 
 @dataclass(frozen=True)
 class StatePrep:
-    """A uniform good/bad superposition on ``n_qubits`` with weight ``amplitude``."""
+    """A uniform good/bad superposition on ``n_qubits`` with weight ``amplitude``.
+
+    ``mask`` (True on good indices) and ``state``, |A> with value
+    sqrt(a/|G|) on good indices and sqrt((1-a)/|B|) on bad ones, are built
+    once and read-only; equality, hashing and repr ignore them.
+    """
 
     n_qubits: int
     good_set: frozenset[int]
     amplitude: float
+    mask: np.ndarray = field(init=False, repr=False, compare=False)
+    state: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n_qubits = json_int(self.n_qubits, "n_qubits", 1, MAX_QUBITS)
@@ -48,43 +64,46 @@ class StatePrep:
         object.__setattr__(self, "n_qubits", n_qubits)
         object.__setattr__(self, "good_set", good_set)
         object.__setattr__(self, "amplitude", unit_real(self.amplitude, "amplitude"))
+        mask = np.zeros(dim, dtype=bool)
+        mask[list(good_set)] = True
+        state = np.empty(dim, dtype=np.complex128)
+        state[mask] = np.sqrt(self.amplitude / len(good_set))
+        state[~mask] = np.sqrt((1.0 - self.amplitude) / (dim - len(good_set)))
+        for name, array in (("mask", mask), ("state", state)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @property
     def dim(self) -> int:
         return 1 << self.n_qubits
 
 
-def _good_mask(sp: StatePrep) -> np.ndarray:
-    mask = np.zeros(sp.dim, dtype=bool)
-    mask[list(sp.good_set)] = True
-    return mask
-
-
 def prepare_state(sp: StatePrep) -> np.ndarray:
-    """|A> with value sqrt(a/|G|) on good indices, sqrt((1-a)/|B|) on bad ones."""
-    mask = _good_mask(sp)
-    n_good = int(mask.sum())
-    v = np.empty(sp.dim, dtype=np.complex128)
-    v[mask] = np.sqrt(sp.amplitude / n_good)
-    v[~mask] = np.sqrt((1.0 - sp.amplitude) / (sp.dim - n_good))
-    return v
+    """|A> as a writable copy of ``sp.state``, which stays unchanged."""
+    return sp.state.copy()
 
 
 def apply_grover(v: np.ndarray, sp: StatePrep) -> np.ndarray:
     """One Grover iteration: oracle sign flip, then reflection about |A>."""
     if v.shape != (sp.dim,):
         raise ValueError(f"state has dimension {v.shape}, expected ({sp.dim},)")
-    a_state = prepare_state(sp)
     flipped = v.copy()
-    flipped[_good_mask(sp)] *= -1.0
-    out = 2.0 * np.vdot(a_state, flipped) * a_state - flipped
+    flipped[sp.mask] *= -1.0
+    out = 2.0 * np.vdot(sp.state, flipped) * sp.state - flipped
     return out / np.linalg.norm(out)
+
+
+def grover_power_probs(sp: StatePrep, max_power: int) -> list[float]:
+    """Good-subspace probabilities after 0..``max_power`` Grover iterations on
+    |A>, from one state stepped ``max_power`` times."""
+    v, probs = sp.state, []
+    for power in range(json_int(max_power, "max_power", 0) + 1):
+        if power:
+            v = apply_grover(v, sp)
+        probs.append(float(np.sum(np.abs(v[sp.mask]) ** 2)))
+    return probs
 
 
 def grover_power_prob(sp: StatePrep, power: int) -> float:
     """Good-subspace probability after ``power`` Grover iterations on |A>."""
-    v = prepare_state(sp)
-    for _ in range(json_int(power, "power", 0)):
-        v = apply_grover(v, sp)
-    mask = _good_mask(sp)
-    return float(np.sum(np.abs(v[mask]) ** 2))
+    return grover_power_probs(sp, json_int(power, "power", 0))[-1]

@@ -41,6 +41,19 @@ class TestPlanCommand:
         assert data["schedule"]["kind"] == "jittered"
         assert data["schedule"]["fractions"][-1] == [1, 4]
 
+    def test_depth_beyond_the_limit_is_refused(self, capsys):
+        # 2^52: the first depth whose 2d + 1 is not an exact float
+        with pytest.raises(SystemExit) as info:
+            main(["plan", "--max-depth", "4503599627370496", "--epsilon", "1e-3"])
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("amplest: error:") == 1
+        assert err.splitlines()[-1] == (
+            "amplest: error: max_depth must be at most 4503599627370495, "
+            "got 4503599627370496"
+        )
+
 
 class TestEstimateCommand:
     def test_estimate_with_record_dump(self, capsys, tmp_path):
@@ -106,6 +119,16 @@ class TestCallRatioCommand:
         lines = out.read_text().splitlines()
         assert lines[0] == "d,n_calls,n_calls_jittered,ratio"
         assert lines[1].startswith("16,75548,82385,")
+
+    def test_depth_below_one_is_refused_by_its_field(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as info:
+            main(["call-ratio", "--depths", "0,4", "--epsilon", "1e-2",
+                  "--out", str(tmp_path / "ratio.csv")])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("amplest: error:") == 1
+        assert err.splitlines()[-1] == "amplest: error: d_list must be at least 1, got 0"
+        assert not list(tmp_path.iterdir())
 
 
 class TestValidateOracleCommand:

@@ -305,6 +305,19 @@ class TestOracleValidation:
             oracle_validation(13, 20, 8, 0)
         assert not built
 
+    def test_each_trial_steps_one_state_through_its_powers(self, monkeypatch):
+        calls = {"apply_grover": 0, "prepare_state": 0}
+        for name in calls:
+
+            def counted(*args, _call=getattr(statevector, name), _name=name):
+                calls[_name] += 1
+                return _call(*args)
+
+            monkeypatch.setattr(statevector, name, counted)
+        oracle_validation(4, 20, 8, 0)
+        # 80 trials of 8 steps each; |A> comes from each StatePrep
+        assert calls == {"apply_grover": 640, "prepare_state": 0}
+
     def test_the_command_prints_the_report(self, capsys):
         main(["validate-oracle", "--qubits", "2", "--trials", "3", "--seed", "-4"])
         report = oracle_validation(2, 3, 8, -4)

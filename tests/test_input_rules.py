@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from amplest.harness import ExperimentConfig, oracle_validation
+from amplest.harness import ExperimentConfig, call_ratio_table, oracle_validation
 from amplest.likelihood import (
     depth_log_likelihood,
     grid_angles,
@@ -54,7 +54,7 @@ from amplest.schedules import (
     jitter,
     polynomial_schedule,
 )
-from amplest.statevector import StatePrep, grover_power_prob
+from amplest.statevector import StatePrep, grover_power_prob, grover_power_probs
 
 ONE = Fraction(1)
 SCHEDULE = exponential_schedule(3)
@@ -175,6 +175,18 @@ _INT_SITES = {
         0,
     ),
     "grover_power_prob": (lambda v: grover_power_prob(PREP, v), "power", 2, 0),
+    "grover_power_probs": (
+        lambda v: grover_power_probs(PREP, v),
+        "max_power",
+        2,
+        0,
+    ),
+    "call_ratio_table": (
+        lambda v: call_ratio_table([v], 0.05, 0.01, 2.0),
+        "d_list",
+        4,
+        1,
+    ),
     "ExperimentConfig.runs_per_point": (
         lambda v: _curve(runs_per_point=v).runs_per_point,
         "runs_per_point",
@@ -402,6 +414,40 @@ class TestPositiveRealRule:
         assert float(2 * inside.depths[-1] + 1) == 2 * inside.depths[-1] + 1
         with pytest.raises(ValueError, match="^beta .* gives depths above"):
             polynomial_schedule(1 / 105.02, 0.5)  # exponent 52.01
+
+
+# Every site that reads a schedule depth, with the name it refuses one by.
+# Beyond 2^52 - 1, 2d + 1 is no longer an exact float.
+_DEPTH_SITES = {
+    "make_plan": (lambda d: make_plan(1e-3, 0.01, d).schedule, "max_depth"),
+    "make_plan.jittered": (
+        lambda d: make_plan(1e-3, 0.01, d, jittered=True).schedule,
+        "max_depth",
+    ),
+    "exponential_schedule_to_depth": (exponential_schedule_to_depth, "max_depth"),
+    "Schedule": (lambda d: Schedule((0, d), (ONE, ONE), kind="custom"), "depths"),
+    "Schedule.from_dict": (
+        lambda d: Schedule.from_dict(
+            {"kind": "custom", "depths": [0, d], "fractions": [[1, 1], [1, 1]]}
+        ),
+        "depths",
+    ),
+}
+
+
+class TestDepthLimit:
+    @pytest.mark.parametrize("site", sorted(_DEPTH_SITES))
+    @pytest.mark.parametrize("depth", [2**52, 2**60, 10**400])
+    def test_depth_above_the_limit_is_refused_by_name(self, site, depth):
+        call, name = _DEPTH_SITES[site]
+        message = f"^{name} must be at most {2**52 - 1}, got {depth}$"
+        with pytest.raises(ValueError, match=message):
+            call(depth)
+
+    @pytest.mark.parametrize("site", sorted(_DEPTH_SITES))
+    def test_depth_at_the_limit_builds(self, site):
+        call, _ = _DEPTH_SITES[site]
+        assert call(2**52 - 1).depths[-1] == 2**52 - 1
 
 
 class TestScheduleFractions:

@@ -6,6 +6,7 @@ import pytest
 from amplest.planner import exceptional_values
 from amplest.rng import substream
 from amplest.statevector import StatePrep, apply_grover, grover_power_prob, prepare_state
+from amplest.statevector import grover_power_probs
 
 
 def closed_form(a: float, power: int) -> float:
@@ -123,3 +124,64 @@ class TestGroverPowerProb:
     def test_negative_power(self):
         with pytest.raises(ValueError):
             grover_power_prob(StatePrep(1, frozenset({0}), 0.5), -1)
+
+
+def restarted_power_probs(sp: StatePrep, max_power: int) -> list[float]:
+    """Each power from a fresh |A>, its good weight summed in index order."""
+    good = sorted(sp.good_set)
+    probs = []
+    for power in range(max_power + 1):
+        v = prepare_state(sp)
+        for _ in range(power):
+            v = apply_grover(v, sp)
+        probs.append(float(np.sum(np.abs(v[good]) ** 2)))
+    return probs
+
+
+class TestGroverPowerProbs:
+    @pytest.mark.parametrize("n_qubits", range(1, 7))
+    def test_stepping_one_state_matches_restarting_bit_for_bit(self, n_qubits):
+        rng = substream(37, n_qubits)
+        cases = [random_case(rng, n_qubits) for _ in range(3)]
+        good = frozenset({(1 << n_qubits) - 1})
+        cases += [StatePrep(n_qubits, good, a) for a in (0.0, 1.0)]
+        cases.append(StatePrep(n_qubits, good, exceptional_values(3)[2]))
+        for sp in cases:
+            assert grover_power_probs(sp, 9) == restarted_power_probs(sp, 9)
+
+    def test_power_zero_is_one_probability(self):
+        sp = StatePrep(3, frozenset({1, 6}), 0.37)
+        assert grover_power_probs(sp, 0) == [grover_power_prob(sp, 0)]
+
+    def test_each_power_is_the_last_of_its_list(self):
+        sp = StatePrep(4, frozenset({2, 3, 11}), 0.61)
+        probs = grover_power_probs(sp, 6)
+        assert probs == [grover_power_prob(sp, d) for d in range(7)]
+
+
+class TestStatePrepArrays:
+    def test_writing_a_prepared_state_changes_no_later_one(self):
+        sp = StatePrep(3, frozenset({5}), 0.3)
+        before = grover_power_probs(sp, 4)
+        v = prepare_state(sp)
+        v[:] = 0.0
+        assert np.array_equal(prepare_state(sp), sp.state)
+        assert np.linalg.norm(prepare_state(sp)) == pytest.approx(1.0, abs=1e-12)
+        assert grover_power_probs(sp, 4) == before
+
+    def test_cached_arrays_are_read_only(self):
+        sp = StatePrep(3, frozenset({1, 4}), 0.3)
+        assert not sp.state.flags.writeable
+        assert not sp.mask.flags.writeable
+        assert sp.mask.tolist() == [i in (1, 4) for i in range(8)]
+        with pytest.raises(ValueError):
+            sp.state[0] = 1.0
+
+    def test_equal_preparations_compare_and_hash_equal(self):
+        # holds at the arrays' introduction too: they take no part in either
+        first = StatePrep(3, frozenset({1, 4}), 0.3)
+        second = StatePrep(np.int64(3), frozenset({4, np.int64(1)}), 0.3)
+        assert first == second
+        assert hash(first) == hash(second)
+        assert first != StatePrep(3, frozenset({1, 4}), 0.4)
+        assert repr(first) == "StatePrep(n_qubits=3, good_set=frozenset({1, 4}), amplitude=0.3)"
