@@ -9,7 +9,10 @@ numerical experiments from the command line.
 The top-level names are exactly the ``__all__`` lists of ``likelihood``,
 ``planner``, ``sampler``, ``schedules`` and ``statevector``, republished
 here, so each module's ``__all__`` is the one statement of its public API.
-They load on first use: ``import amplest`` imports none of the modules. The
+They load on first use: ``import amplest`` imports none of the modules.
+:func:`_find` is the one search for such a name; ``amplest.cli`` finds its
+library names through it too. A dunder name is never searched for, so a
+probe such as ``hasattr(amplest, "__wrapped__")`` imports nothing. The
 experiment harness and the CLI stay in ``amplest.harness`` and
 ``amplest.cli``.
 """
@@ -29,16 +32,23 @@ def _module(name: str):
     return _sys.modules[path]
 
 
+def _find(name: str, modules: tuple[str, ...], owner: str) -> object:
+    """``name`` from the first of ``modules``, imported in turn, whose
+    ``__all__`` lists it; else ``AttributeError`` naming ``owner``. A dunder
+    name imports nothing."""
+    if not (name.startswith("__") and name.endswith("__")):
+        for module in map(_module, modules):
+            if name in module.__all__:
+                return getattr(module, name)
+    raise AttributeError(f"module {owner!r} has no attribute {name!r}")
+
+
 def __getattr__(name: str) -> object:
-    """Find a public name by importing the modules in turn (PEP 562)."""
-    modules = (_module(m) for m in _MODULES)
+    """Find a public name on first use, then keep it here (PEP 562)."""
     if name == "__all__":
-        value = [listed for module in modules for listed in module.__all__]
+        value = [listed for m in _MODULES for listed in _module(m).__all__]
     else:
-        module = next((m for m in modules if name in m.__all__), None)
-        if module is None:
-            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-        value = getattr(module, name)
+        value = _find(name, _MODULES, __name__)
     globals()[name] = value
     return value
 

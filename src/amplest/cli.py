@@ -9,37 +9,22 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
+from . import _find
+
 if TYPE_CHECKING:
     from .planner import Plan
 
-# The library names the handlers call, by module. Each is imported on first
-# use (PEP 562) and then kept on this module, so a command loads only what it
-# runs: ``plan`` and ``exceptional`` need the planner alone. Handlers read the
-# names through ``_cli``, so a name replaced on the module is the one they call.
-_SOURCES = {
-    "harness": (
-        "ExperimentConfig",
-        "call_ratio_table",
-        "exceptional_region_scan",
-        "oracle_validation",
-        "precision_curve",
-        "sweep_amplitudes",
-        "write_rows",
-    ),
-    "likelihood": ("grid_maximize",),
-    "planner": ("exceptional_values", "make_plan"),
-    "sampler": ("draw_record",),
-}
-_MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
+# The library names the handlers call are found on first use in these
+# modules' __all__ (PEP 562) and then kept on this module, so a command loads
+# only what it runs: ``plan`` and ``exceptional`` stop at the planner, and no
+# command searches the statevector. Handlers read the names through ``_cli``,
+# so a name replaced on the module is the one they call.
+_LIBRARY = ("planner", "sampler", "likelihood", "harness")
 _cli = sys.modules[__name__]
 
 
 def __getattr__(name: str) -> object:
-    if name not in _MODULE_OF:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    path = f"{__package__}.{_MODULE_OF[name]}"
-    __import__(path)  # unlike importlib.import_module, shown by -X importtime
-    value = globals()[name] = getattr(sys.modules[path], name)
+    value = globals()[name] = _find(name, _LIBRARY, __name__)
     return value
 
 

@@ -56,6 +56,7 @@ from .planner import (
 )
 from .rng import derive_key, substream
 from .sampler import _MAX_BINOMIAL_N, angle_from_amplitude, draw_record, good_prob
+from .schedules import _MAX_DEPTH
 
 __all__ = [
     "MODE_TAGS",
@@ -356,7 +357,7 @@ def call_ratio_table(
     d_list: Sequence[int], eps: float, delta: float, c: float
 ) -> list[dict]:
     """Jittered versus unjittered call counts per maximum depth; no sampling."""
-    d_list = [json_int(d, "d_list", 1) for d in d_list]
+    d_list = [json_int(d, "d_list", 1, _MAX_DEPTH) for d in d_list]
     if not d_list:
         raise ValueError("d_list must be non-empty")
     rows = []

@@ -19,6 +19,7 @@ import numpy as np
 
 from ._util import ceil_guarded, json_int, positive_real
 from .schedules import (
+    _MAX_DEPTH,
     Schedule,
     call_weight,
     exponential_schedule_to_depth,
@@ -165,7 +166,7 @@ def exceptional_values(max_depth: int) -> list[float]:
     Near them the log-likelihood develops singularities and the planned
     shot count stops being sufficient.
     """
-    max_depth = json_int(max_depth, "max_depth", 0)
+    max_depth = json_int(max_depth, "max_depth", 0, _MAX_DEPTH)
     return [_exceptional_value(max_depth, k) for k in range(2 * max_depth + 2)]
 
 
@@ -177,7 +178,7 @@ def _exceptional_value(max_depth: int, k: int) -> float:
 def single_shot_fisher_info(a: float, depth: int) -> float:
     """Fisher information of one shot at one depth: (2d+1)^2 / (a(1-a))."""
     a = positive_real(a, "a", 1.0)
-    depth = json_int(depth, "depth", 0)
+    depth = json_int(depth, "depth", 0, _MAX_DEPTH)
     return (2 * depth + 1) ** 2 / (a * (1.0 - a))
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._util import json_int, unit_real
 from .rng import record_streams
-from .schedules import Schedule
+from .schedules import _MAX_DEPTH, Schedule
 
 __all__ = [
     "RecordEntry",
@@ -46,8 +46,9 @@ class MeasurementRecord:
 
     ``entries`` holds (depth, shots, hits) triples, stored as a tuple of
     :class:`RecordEntry`. Depths, shots and hits are integers under
-    ``json_int``'s rule, at least 0, 1 and 0; hits never exceed shots, and
-    depths never decrease. A numpy count is stored as ``int``, and
+    ``json_int``'s rule, at least 0, 1 and 0, and a depth is at most
+    2^52 - 1 as in a schedule; hits never exceed shots, and depths never
+    decrease. A numpy count is stored as ``int``, and
     ``a_true`` and ``seed``, when given, as a float in [0, 1] and an
     ``int``. A bad value raises ``ValueError`` naming it.
     """
@@ -95,11 +96,14 @@ def _judged(entries: Iterable) -> tuple[RecordEntry, ...]:
         ):
             break
         last = depth
-    else:
-        return entries
+    else:  # the last depth is the largest
+        if last <= _MAX_DEPTH:
+            return entries
     out: list[RecordEntry] = []
     for entry in entries:
-        depth, shots, hits = map(json_int, entry, RecordEntry._fields, (0, 1, 0))
+        depth, shots, hits = map(
+            json_int, entry, RecordEntry._fields, (0, 1, 0), (_MAX_DEPTH, None, None)
+        )
         if hits > shots:
             raise ValueError(
                 f"hits must be at most {shots} at depth {depth}, got {hits}"
@@ -123,7 +127,7 @@ def amplitude_from_angle(theta: float) -> float:
 
 def good_prob(theta: float, depth: int) -> float:
     """Probability of a good outcome at ``depth``: sin^2((2*depth+1)*theta)."""
-    s = math.sin((2 * json_int(depth, "depth", 0) + 1) * theta)
+    s = math.sin((2 * json_int(depth, "depth", 0, _MAX_DEPTH) + 1) * theta)
     return s * s
 
 

@@ -41,8 +41,9 @@ __all__ = [
 _KINDS = ("exp", "exp_nu", "poly", "jittered", "custom")
 # The optional parameters of a schedule, each a finite positive real
 _PARAMETERS = ("nu", "spread_coeff", "beta")
-# The largest depth of any schedule: the largest d whose 2d + 1 is exact in a
-# float, as good_prob and the likelihood's factors compute it.
+# The largest depth that any reader of a depth accepts: the largest d whose
+# 2d + 1 is exact in a float, as good_prob and the likelihood's factors
+# compute it.
 _MAX_DEPTH = 2**52 - 1
 
 
@@ -168,8 +169,12 @@ def _unit_fractions(n: int) -> tuple[Fraction, ...]:
 
 
 def exponential_schedule(num_depths: int) -> Schedule:
-    """Schedule {0, 1, 2, 4, ..., 2^(q-2)} with ``q = num_depths`` entries."""
-    num_depths = json_int(num_depths, "num_depths", 2)
+    """Schedule {0, 1, 2, 4, ..., 2^(q-2)} with ``q = num_depths`` entries.
+
+    ``q`` is at most 53, whose last depth 2^51 is the largest power of 2
+    within the depth limit.
+    """
+    num_depths = json_int(num_depths, "num_depths", 2, _MAX_DEPTH.bit_length() + 1)
     depths = (0,) + tuple(2 ** (j - 1) for j in range(1, num_depths))
     return Schedule(depths, _unit_fractions(num_depths), kind="exp")
 
@@ -305,10 +310,11 @@ def info_weight_squared(schedule: Schedule) -> float:
 def closed_form_weights(max_depth: int) -> tuple[float, float]:
     """(call_weight, info_weight) of the doubling schedule ending at a power of 2.
 
-    Valid only for ``max_depth = 2^k``, k >= 1, where the geometric sums
-    collapse to ``4d + log2(d)`` and ``sqrt(16d^2/3 + 8d + log2(d) - 10/3)``.
+    Valid only for ``max_depth = 2^k``, 1 <= k <= 51 (the depth limit),
+    where the geometric sums collapse to ``4d + log2(d)`` and
+    ``sqrt(16d^2/3 + 8d + log2(d) - 10/3)``.
     """
-    max_depth = json_int(max_depth, "max_depth", 2)
+    max_depth = json_int(max_depth, "max_depth", 2, _MAX_DEPTH)
     if max_depth & (max_depth - 1):
         raise ValueError(f"closed form needs max_depth a power of 2, got {max_depth}")
     log2d = float(max_depth.bit_length() - 1)

@@ -102,6 +102,19 @@ class TestExceptionalCommand:
         values = json.loads(capsys.readouterr().out)
         assert values == pytest.approx([0.0, 0.25, 0.75, 1.0], abs=1e-12)
 
+    # 2^52, the first depth beyond the limit, and a depth no float holds
+    @pytest.mark.parametrize("depth", [2**52, 10**400], ids=["2^52", "401 digits"])
+    def test_depth_beyond_the_limit_is_one_error_line(self, capsys, depth):
+        with pytest.raises(SystemExit) as info:
+            main(["exceptional", "--max-depth", str(depth)])
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("amplest: error:") == 1
+        assert err.splitlines()[-1] == (
+            f"amplest: error: max_depth must be at most {2**52 - 1}, got {depth}"
+        )
+
 
 class TestCallRatioCommand:
     def test_writes_csv(self, capsys, tmp_path):

@@ -48,9 +48,11 @@ from amplest.sampler import (
 from amplest.schedules import (
     Schedule,
     base_bounds,
+    call_weight,
     closed_form_weights,
     exponential_schedule,
     exponential_schedule_to_depth,
+    info_weight,
     jitter,
     polynomial_schedule,
 )
@@ -434,6 +436,22 @@ _DEPTH_SITES = {
     ),
 }
 
+# Every other reader of a depth, with the name it refuses one by: 2d + 1 is
+# computed from each depth they read, so they keep the schedules' limit.
+_DEPTH_READERS = {
+    "good_prob": (lambda d: good_prob(0.3, d), "depth"),
+    "depth_log_likelihood": (lambda d: depth_log_likelihood(0.3, d, 10, 5), "depth"),
+    "single_shot_fisher_info": (lambda d: single_shot_fisher_info(0.3, d), "depth"),
+    # a refused value only: an accepted large one lists 2d + 2 floats
+    "exceptional_values": (exceptional_values, "max_depth"),
+    "closed_form_weights": (closed_form_weights, "max_depth"),
+    "call_ratio_table": (
+        lambda d: call_ratio_table([4, d], 0.05, 0.01, 2.0),
+        "d_list",
+    ),
+    **{site: (call, "depth") for site, call in _record_builders("depth")},
+}
+
 
 class TestDepthLimit:
     @pytest.mark.parametrize("site", sorted(_DEPTH_SITES))
@@ -444,10 +462,37 @@ class TestDepthLimit:
         with pytest.raises(ValueError, match=message):
             call(depth)
 
+    @pytest.mark.parametrize("site", sorted(_DEPTH_READERS))
+    @pytest.mark.parametrize(
+        "depth", [2**52, 2**60, 10**400], ids=["2^52", "2^60", "10^400"]
+    )
+    def test_readers_refuse_a_depth_above_the_limit_by_name(self, site, depth):
+        call, name = _DEPTH_READERS[site]
+        message = f"^{name} must be at most {2**52 - 1}, got {depth}$"
+        with pytest.raises(ValueError, match=message):
+            call(depth)
+
     @pytest.mark.parametrize("site", sorted(_DEPTH_SITES))
     def test_depth_at_the_limit_builds(self, site):
         call, _ = _DEPTH_SITES[site]
         assert call(2**52 - 1).depths[-1] == 2**52 - 1
+
+    def test_readers_work_at_the_limit(self):
+        top = 2**52 - 1
+        assert good_prob(0.3, top) == math.sin((2 * top + 1) * 0.3) ** 2
+        assert single_shot_fisher_info(0.3, top) == (2 * top + 1) ** 2 / (0.3 * 0.7)
+        for _, build in _record_builders("depth"):
+            assert build(top).entries[-1].depth == top
+        doubling = exponential_schedule(53)
+        assert doubling.depths[-1] == 2**51
+        assert closed_form_weights(2**51) == pytest.approx(
+            (call_weight(doubling), info_weight(doubling)), rel=1e-12
+        )
+
+    def test_exponential_schedule_refuses_a_depth_above_the_limit_by_its_count(self):
+        # 54 depths would end at 2^52, before any depth is built
+        with pytest.raises(ValueError, match="^num_depths must be at most 53, got 54$"):
+            exponential_schedule(54)
 
 
 class TestScheduleFractions:

@@ -2,9 +2,11 @@
 
 ``amplest`` republishes ``likelihood``, ``planner``, ``sampler``,
 ``schedules`` and ``statevector``, each name loaded on first use, and the
-README's library example runs from those names as printed.
+README's library example runs from those names as printed. ``amplest.cli``
+finds the names it calls in the same lists, with ``harness``'s.
 """
 
+import ast
 import contextlib
 import io
 import re
@@ -14,7 +16,8 @@ from pathlib import Path
 import pytest
 
 import amplest
-from amplest import likelihood, planner, sampler, schedules, statevector
+import amplest.cli as cli
+from amplest import harness, likelihood, planner, sampler, schedules, statevector
 
 MODULES = (likelihood, planner, sampler, schedules, statevector)
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -39,6 +42,28 @@ def test_no_other_public_name():
         assert isinstance(value, types.ModuleType), name
         assert value.__name__ == f"amplest.{name}"
     assert isinstance(amplest.__version__, str)
+
+
+def test_no_name_is_listed_by_two_searched_modules():
+    # so the order in which the package or the CLI searches them never matters
+    owners = {}
+    for module in (*MODULES, harness):
+        for name in module.__all__:
+            assert owners.setdefault(name, module) is module, name
+
+
+def test_every_name_the_cli_calls_resolves():
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    called = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "_cli"
+    }
+    assert "make_plan" in called
+    for name in called:
+        assert callable(getattr(cli, name)), name
 
 
 def test_star_import_and_dir_give_the_listed_names():

@@ -1,8 +1,9 @@
 """What an ``amplest`` process loads, and how it ends.
 
-A command imports only the modules it runs, and a whole process
-(``python -m amplest`` or the ``amplest`` script) freezes the objects the
-garbage collector tracks once its command has returned, so that the
+A command imports only the modules it runs; importing the entry point, or
+probing the package or the CLI for a dunder name, imports no library module.
+A whole process (``python -m amplest`` or the ``amplest`` script) freezes the
+objects the garbage collector tracks once its command has returned, so that the
 collection at interpreter exit passes them over. Neither may change a byte
 of what the command prints or writes, nor its exit code.
 """
@@ -67,6 +68,42 @@ class TestWhatEachCommandLoads:
         args = ["validate-oracle", "--qubits", "2", "--trials", "2"]
         imported = _imported(*args, cwd=tmp_path)
         assert {"amplest.harness", "amplest.statevector"} <= imported
+
+
+def _run(code, cwd):
+    """What ``code`` prints in a fresh process."""
+    return _python("-c", code, cwd=cwd, text=True, check=True).stdout
+
+
+# ``code`` after importing the package and the CLI, then the modules it loaded
+_AFTER_IMPORT = """
+import sys
+import amplest, amplest.cli as cli
+before = set(sys.modules)
+{code}
+print(sorted(set(sys.modules) - before))
+"""
+
+
+class TestLazyNames:
+    @pytest.mark.parametrize("owner", ["amplest", "cli"])
+    def test_a_dunder_probe_loads_nothing(self, owner, tmp_path):
+        # as inspect.unwrap and doctest probe; the import system probes
+        # __path__ the same way for every ``from amplest.cli import ...``
+        code = f"assert not hasattr({owner}, '__wrapped__')"
+        assert _run(_AFTER_IMPORT.format(code=code), tmp_path) == "[]\n"
+
+    def test_importing_the_entry_point_loads_no_library_module(self, tmp_path):
+        code = (
+            "import sys; from amplest.cli import main; "
+            "print(sorted(m for m in sys.modules if m.startswith('amplest')))"
+        )
+        assert _run(code, tmp_path) == "['amplest', 'amplest.cli']\n"
+
+    def test_an_unknown_name_is_refused_by_the_cli_module(self, tmp_path):
+        code = "try:\n    cli.no_such_name\nexcept AttributeError as e:\n    print(e)"
+        printed = _run(_AFTER_IMPORT.format(code=code), tmp_path).splitlines()[0]
+        assert printed == "module 'amplest.cli' has no attribute 'no_such_name'"
 
 
 class TestProcessEnd:
