@@ -14,17 +14,25 @@ from . import _find
 if TYPE_CHECKING:
     from .planner import Plan
 
-# The library names the handlers call are found on first use in these
-# modules' __all__ (PEP 562) and then kept on this module, so a command loads
-# only what it runs: ``plan`` and ``exceptional`` stop at the planner, and no
-# command searches the statevector. Handlers read the names through ``_cli``,
-# so a name replaced on the module is the one they call.
+# The library names the handlers call, and only those, are found on first use
+# in these modules' __all__ (PEP 562) and then kept on this module, so a
+# command loads only what it runs: ``plan`` and ``exceptional`` stop at the
+# planner, and no command searches the statevector. Any other name is refused
+# before a module loads. Handlers read the names through ``_cli``, so a name
+# replaced on the module is the one they call.
 _LIBRARY = ("planner", "sampler", "likelihood", "harness")
+_BORROWED = frozenset(
+    "make_plan draw_record grid_maximize ExperimentConfig sweep_amplitudes "
+    "precision_curve exceptional_region_scan write_rows exceptional_values "
+    "call_ratio_table oracle_validation".split()
+)
 _cli = sys.modules[__name__]
 
 
 def __getattr__(name: str) -> object:
-    value = globals()[name] = _find(name, _LIBRARY, __name__)
+    # any other name searches no module, so _find refuses it at once
+    modules = _LIBRARY if name in _BORROWED else ()
+    value = globals()[name] = _find(name, modules, __name__)
     return value
 
 
@@ -126,10 +134,11 @@ def _cmd_plan(args: argparse.Namespace) -> None:
 def _cmd_estimate(args: argparse.Namespace) -> None:
     plan = _plan(args)
     record = _cli.draw_record(args.amplitude, plan.schedule, plan.n_shot, args.seed)
+    # a record the maximizer refuses is not written
+    estimate = _cli.grid_maximize(record, plan.grid_size)
     if args.record:
         with open(args.record, "w") as f:
             json.dump(record.to_dict(), f, indent=2)
-    estimate = _cli.grid_maximize(record, plan.grid_size)
     print(json.dumps(estimate.to_dict(), indent=2))
 
 

@@ -159,14 +159,23 @@ def average_error(a: float, schedule: Schedule, n_shot: int) -> float:
     return math.sqrt(a * (1.0 - a) / n_shot) / info_weight(schedule)
 
 
+# exceptional_values lists 2d + 2 floats, 32 bytes each in a list and ~20 as
+# JSON: at most 2^20 of them keep a list within 32 MiB and ``amplest
+# exceptional``'s output within ~20 MB. A depth beyond the schedules' limit
+# is refused by that limit first.
+_MAX_LISTED_DEPTH = 2**19 - 1
+
+
 def exceptional_values(max_depth: int) -> list[float]:
     """Amplitudes where the deepest circuit yields good states w.p. 0 or 1.
 
     These are sin^2(k*pi / (2*(2d+1))) for k = 0..2d+1, in ascending order.
     Near them the log-likelihood develops singularities and the planned
-    shot count stops being sufficient.
+    shot count stops being sufficient. ``max_depth`` is at most 2^19 - 1, so
+    the list holds at most 2^20 values.
     """
     max_depth = json_int(max_depth, "max_depth", 0, _MAX_DEPTH)
+    max_depth = json_int(max_depth, "max_depth", 0, _MAX_LISTED_DEPTH)
     return [_exceptional_value(max_depth, k) for k in range(2 * max_depth + 2)]
 
 

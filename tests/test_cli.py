@@ -95,6 +95,20 @@ class TestEstimateCommand:
         estimate = grid_maximize(record, make_plan(1e-2, 0.01, 4).grid_size)
         assert printed == estimate.to_dict()
 
+    def test_shots_beyond_an_exact_count_is_one_error_line(self, capsys, tmp_path):
+        # 12,336,190,318,709,242 planned shots, above 2^53 at some depth
+        record_path = tmp_path / "record.json"
+        args = ["--max-depth", "16", "--epsilon", "3e-10", "--amplitude", "0.3"]
+        with pytest.raises(SystemExit) as info:
+            main(["estimate", *args, "--seed", "1", "--record", str(record_path)])
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("amplest: error:") == 1
+        assert err.splitlines()[-1].startswith(
+            f"amplest: error: shots must be at most {2**53}, got "
+        )
+        assert not record_path.exists()
+
 
 class TestExceptionalCommand:
     def test_lists_all_values(self, capsys):
@@ -102,9 +116,14 @@ class TestExceptionalCommand:
         values = json.loads(capsys.readouterr().out)
         assert values == pytest.approx([0.0, 0.25, 0.75, 1.0], abs=1e-12)
 
-    # 2^52, the first depth beyond the limit, and a depth no float holds
-    @pytest.mark.parametrize("depth", [2**52, 10**400], ids=["2^52", "401 digits"])
-    def test_depth_beyond_the_limit_is_one_error_line(self, capsys, depth):
+    # 2^52, the first depth beyond the limit, a depth no float holds, and
+    # 2^19, the first depth whose list passes its cap
+    @pytest.mark.parametrize(
+        "depth, limit",
+        [(2**52, 2**52 - 1), (10**400, 2**52 - 1), (2**19, 2**19 - 1)],
+        ids=["2^52", "401 digits", "2^19"],
+    )
+    def test_depth_beyond_the_limit_is_one_error_line(self, capsys, depth, limit):
         with pytest.raises(SystemExit) as info:
             main(["exceptional", "--max-depth", str(depth)])
         assert info.value.code == 2
@@ -112,7 +131,7 @@ class TestExceptionalCommand:
         assert out == ""
         assert err.count("amplest: error:") == 1
         assert err.splitlines()[-1] == (
-            f"amplest: error: max_depth must be at most {2**52 - 1}, got {depth}"
+            f"amplest: error: max_depth must be at most {limit}, got {depth}"
         )
 
 

@@ -442,7 +442,7 @@ _DEPTH_READERS = {
     "good_prob": (lambda d: good_prob(0.3, d), "depth"),
     "depth_log_likelihood": (lambda d: depth_log_likelihood(0.3, d, 10, 5), "depth"),
     "single_shot_fisher_info": (lambda d: single_shot_fisher_info(0.3, d), "depth"),
-    # a refused value only: an accepted large one lists 2d + 2 floats
+    # a refused value only; TestExceptionalListSize checks the list's own cap
     "exceptional_values": (exceptional_values, "max_depth"),
     "closed_form_weights": (closed_form_weights, "max_depth"),
     "call_ratio_table": (
@@ -572,6 +572,38 @@ class TestShotLimit:
             n_shot_list=[8, _NUMPY_MAX_N],
         )
         assert config.points == ((0.3, 8), (0.3, _NUMPY_MAX_N))
+
+
+# Counts enter the maximizer as float64, exact up to 2^53
+_EXACT_MAX_N = 2**53
+
+
+def _nearly_all_hits(n: int) -> MeasurementRecord:
+    return MeasurementRecord((RecordEntry(0, n, n - 1), RecordEntry(1, n, n // 2)))
+
+
+class TestExactCounts:
+    @pytest.mark.parametrize("n", [_EXACT_MAX_N + 1, 2**60], ids=["2^53+1", "2^60"])
+    def test_maximizer_refuses_shots_above_the_limit_by_name(self, n):
+        # at 2^60 shots, n - h rounds to 0 and h / n to 1: the tree read index
+        # 1 where the exhaustive scan finds 3
+        message = f"^shots must be at most {_EXACT_MAX_N}, got {n}$"
+        with pytest.raises(ValueError, match=message):
+            grid_maximize(_nearly_all_hits(n), 5)
+
+    def test_maximizer_agrees_with_the_scan_at_the_limit(self):
+        record = _nearly_all_hits(_EXACT_MAX_N)
+        values = [record_log_likelihood(t, record) for t in grid_angles(5)]
+        assert grid_maximize(record, 5).grid_index == values.index(max(values)) == 3
+
+
+class TestExceptionalListSize:
+    # 2^19 would list 2^20 + 2 values, the first depth past the cap
+    @pytest.mark.parametrize("depth", [2**19, 2**20], ids=["2^19", "2^20"])
+    def test_a_list_above_the_cap_is_refused_by_name(self, depth):
+        message = f"^max_depth must be at most {2**19 - 1}, got {depth}$"
+        with pytest.raises(ValueError, match=message):
+            exceptional_values(depth)
 
 
 class TestRecordRule:
