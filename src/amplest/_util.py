@@ -1,9 +1,10 @@
-"""Small numeric helpers, and the readers that judge numeric input: each returns
-a plain number or raises ``ValueError`` naming the field."""
+"""Small numeric helpers, and the readers that judge numeric and JSON input:
+each returns a plain value or raises ``ValueError`` naming the field."""
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from numbers import Integral, Real
 
 
@@ -36,6 +37,14 @@ def json_int(
     if most is not None and value > most:
         raise ValueError(f"{field} must be at most {most}, got {value}")
     return value
+
+
+def json_field(data: object, key: str) -> object:
+    """``data[key]`` of a parsed JSON mapping; a missing key raises
+    ``ValueError`` naming it."""
+    if not isinstance(data, Mapping) or key not in data:
+        raise ValueError(f"{key} is missing")
+    return data[key]
 
 
 def positive_real(value: object, field: str, upper: float = math.inf) -> float:

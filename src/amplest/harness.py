@@ -55,7 +55,7 @@ from .planner import (
     required_shots,
 )
 from .rng import derive_key, substream
-from .sampler import _MAX_BINOMIAL_N, angle_from_amplitude, draw_record, good_prob
+from .sampler import _MAX_SHOTS, angle_from_amplitude, draw_record, good_prob
 from .schedules import _MAX_DEPTH
 
 __all__ = [
@@ -98,8 +98,9 @@ class ExperimentConfig:
     ``jittered`` is kept as a bool. The other integer fields refuse bools and
     floats; ``amplitudes`` is a count >= 2 or a non-empty list of numbers in
     [0, 1]; a ``k_index`` must name an exceptional value even where a list
-    leaves it unused. A shot count above numpy's binomial limit, 2^63 - 1, is
-    refused, naming ``epsilon`` where the shots are planned. Per mode:
+    leaves it unused. A shot count above 2^53, the most shots a measurement
+    record holds, is refused before any run, naming ``epsilon`` where the
+    shots are planned. Per mode:
 
     * ``sweep``: ``runs_per_point`` is 1; no ``n_shot_list`` or ``k_index``.
     * ``precision_curve``: a non-empty ``n_shot_list`` of integers >= 1, kept
@@ -158,11 +159,11 @@ class ExperimentConfig:
             object.__setattr__(self, "n_shot_list", shots)
         else:  # bench/replay.py and tests/test_trace_hooks.py count this call
             shots = (required_shots(plan.epsilon, plan.delta, plan.schedule),)
-        if max(shots) > _MAX_BINOMIAL_N:
+        if max(shots) > _MAX_SHOTS:
             source = "n_shot_list" if self.n_shot_list else "epsilon"
             raise ValueError(
-                f"{source} gives {max(shots)} shots per depth, above numpy's "
-                f"binomial limit {_MAX_BINOMIAL_N}"
+                f"{source} gives {max(shots)} shots per depth, above the "
+                f"exact-count limit {_MAX_SHOTS}"
             )
         if self.n_shot_list:
             eps_min = _precision_from_shots(max(shots), plan.delta, plan.schedule)
@@ -177,10 +178,13 @@ def achieved_precision(errors: Sequence[float], delta: float) -> float:
 
     The order statistic at rank ceil((1 - delta) * len(errors)), with no
     interpolation; this is the conservative reading of "achieved with
-    probability at least 1 - delta".
+    probability at least 1 - delta". A NaN or negative error is refused.
     """
     if len(errors) == 0:
         raise ValueError("errors must be non-empty")
+    for error in errors:
+        if not error >= 0.0:  # NaN compares false
+            raise ValueError(f"errors must be non-negative numbers, got {error!r}")
     delta = _delta(delta)
     rank = min(len(errors), max(1, ceil_guarded((1.0 - delta) * len(errors))))
     return sorted(errors)[rank - 1]

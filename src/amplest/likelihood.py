@@ -76,10 +76,6 @@ _MARGIN = 1e-9
 # every top block and leaf of a 3000-point grid at d=16 and a few of a
 # 300k-point grid at d=50; below one entry a cache holds none.
 _ROW_CACHE_BYTES = 2**20
-# Counts enter the kernels as float64, where every integer up to 2^53 is
-# exact: a record with more shots at a depth is refused, since ``n - h`` and
-# ``h / n`` would round (2^60 shots with 2^60 - 1 hits read as 0 misses).
-_MAX_SHOTS = 2**53
 # Integer and half-integer ``c * theta / pi`` are tested against blocks
 # widened by this much, far above its rounding; a false positive only
 # loosens a bound.
@@ -324,11 +320,11 @@ def _descending(bounds: np.ndarray):
 def grid_maximize(record: MeasurementRecord, grid_size: int) -> Estimate:
     """First maximizer of the record's log-likelihood over the angle grid.
 
-    A record with more than 2^53 shots at a depth is refused by ``shots``.
+    The kernels hold the counts as float64, exact because a
+    :class:`MeasurementRecord` holds at most 2^53 shots at a depth.
     """
     grid_size = json_int(grid_size, "grid_size", 2)
     depths, shots, hits = tuple(zip(*record.entries)) or ((), (), ())
-    json_int(max(shots, default=1), "shots", 1, _MAX_SHOTS)  # the largest count
     tree = _block_tree(depths, grid_size)
     width = tree.width
     # Column 0 at -inf is an exhaustive scan's answer when nothing beats it.

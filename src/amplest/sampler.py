@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from ._util import json_int, unit_real
+from ._util import json_field, json_int, unit_real
 from .rng import record_streams
 from .schedules import _MAX_DEPTH, Schedule
 
@@ -38,6 +38,10 @@ class RecordEntry(NamedTuple):
 
 # The optional provenance fields of a record, each with its reader
 _PROVENANCE = {"a_true": unit_real, "seed": json_int}
+# The most shots a record holds at a depth, and so the most ``draw_record``
+# and the experiments take: the likelihood holds counts as float64, exact up
+# to 2^53, and its exact zeros need ``n - h`` and ``h / n`` exact.
+_MAX_SHOTS = 2**53
 
 
 @dataclass(frozen=True)
@@ -46,11 +50,11 @@ class MeasurementRecord:
 
     ``entries`` holds (depth, shots, hits) triples, stored as a tuple of
     :class:`RecordEntry`. Depths, shots and hits are integers under
-    ``json_int``'s rule, at least 0, 1 and 0, and a depth is at most
-    2^52 - 1 as in a schedule; hits never exceed shots, and depths never
-    decrease. A numpy count is stored as ``int``, and
-    ``a_true`` and ``seed``, when given, as a float in [0, 1] and an
-    ``int``. A bad value raises ``ValueError`` naming it.
+    ``json_int``'s rule, at least 0, 1 and 0; a depth is at most 2^52 - 1
+    as in a schedule, and shots at most 2^53 (``_MAX_SHOTS``); hits never
+    exceed shots, and depths never decrease. A numpy count is stored as
+    ``int``, and ``a_true`` and ``seed``, when given, as a float in [0, 1]
+    and an ``int``. A bad value raises ``ValueError`` naming it.
     """
 
     entries: tuple[RecordEntry, ...]
@@ -73,7 +77,13 @@ class MeasurementRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MeasurementRecord":
-        entries = [[e.get(k) for k in RecordEntry._fields] for e in data["entries"]]
+        entries = []
+        for e in json_field(data, "entries"):
+            if not isinstance(e, Mapping):
+                raise ValueError(
+                    f"entries must hold mappings of depth, shots and hits, got {e!r}"
+                )
+            entries.append([e.get(k) for k in RecordEntry._fields])
         return cls(entries, **{name: data.get(name) for name in _PROVENANCE})
 
 
@@ -92,7 +102,7 @@ def _judged(entries: Iterable) -> tuple[RecordEntry, ...]:
         if not (
             type(entry) is RecordEntry
             and type(depth) is type(shots) is type(hits) is int
-            and last <= depth and 0 <= hits <= shots and shots > 0
+            and last <= depth and 0 <= hits <= shots and 0 < shots <= _MAX_SHOTS
         ):
             break
         last = depth
@@ -100,10 +110,9 @@ def _judged(entries: Iterable) -> tuple[RecordEntry, ...]:
         if last <= _MAX_DEPTH:
             return entries
     out: list[RecordEntry] = []
+    least, most = (0, 1, 0), (_MAX_DEPTH, _MAX_SHOTS, None)
     for entry in entries:
-        depth, shots, hits = map(
-            json_int, entry, RecordEntry._fields, (0, 1, 0), (_MAX_DEPTH, None, None)
-        )
+        depth, shots, hits = map(json_int, entry, RecordEntry._fields, least, most)
         if hits > shots:
             raise ValueError(
                 f"hits must be at most {shots} at depth {depth}, got {hits}"
@@ -158,13 +167,14 @@ def draw_record(
     """Simulate one estimation run's measurement record.
 
     A depth with shot fraction F performs ceil(F * n_shot) shots, so no more
-    than ``n_shot``, which must be at most 2^63 - 1 for numpy. Depth j
+    than ``n_shot``, which must be at most 2^53, the most shots a record
+    holds; a larger one is refused before any stream is opened. Depth j
     draws from the substream (seed, j), so entries are independent of the
     order in which they are produced.
     """
     a, seed = unit_real(a, "a"), json_int(seed, "seed")
     depths = schedule.depths
-    shots = schedule.shots(json_int(n_shot, "n_shot", 1, _MAX_BINOMIAL_N))
+    shots = schedule.shots(json_int(n_shot, "n_shot", 1, _MAX_SHOTS))
     theta = angle_from_amplitude(a)
     entries = []
     for rng, depth, n in zip(record_streams(seed, len(depths)), depths, shots):

@@ -22,7 +22,7 @@ from functools import cached_property
 from itertools import groupby
 from typing import Iterable
 
-from ._util import ceil_guarded, json_int, positive_real
+from ._util import ceil_guarded, json_field, json_int, positive_real
 
 __all__ = [
     "Schedule",
@@ -153,13 +153,18 @@ class Schedule:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Schedule":
+        fractions = []
+        for pair in json_field(data, "fractions"):
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+                raise ValueError(
+                    f"fractions must hold [numerator, denominator] pairs, got {pair!r}"
+                )
+            n, d = json_int(pair[0], "fractions"), json_int(pair[1], "fractions", 1)
+            fractions.append(Fraction(n, d))
         return cls(
-            depths=data["depths"],
-            fractions=tuple(
-                Fraction(json_int(n, "fractions"), json_int(d, "fractions"))
-                for n, d in data["fractions"]
-            ),
-            kind=data["kind"],
+            depths=json_field(data, "depths"),
+            fractions=tuple(fractions),
+            kind=json_field(data, "kind"),
             **{name: data.get(name) for name in _PARAMETERS},
         )
 

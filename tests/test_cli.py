@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -96,7 +97,7 @@ class TestEstimateCommand:
         assert printed == estimate.to_dict()
 
     def test_shots_beyond_an_exact_count_is_one_error_line(self, capsys, tmp_path):
-        # 12,336,190,318,709,242 planned shots, above 2^53 at some depth
+        # 12,336,190,318,709,242 planned shots, above 2^53: refused before the draw
         record_path = tmp_path / "record.json"
         args = ["--max-depth", "16", "--epsilon", "3e-10", "--amplitude", "0.3"]
         with pytest.raises(SystemExit) as info:
@@ -104,8 +105,8 @@ class TestEstimateCommand:
         assert info.value.code == 2
         out, err = capsys.readouterr()
         assert out == "" and err.count("amplest: error:") == 1
-        assert err.splitlines()[-1].startswith(
-            f"amplest: error: shots must be at most {2**53}, got "
+        assert err.splitlines()[-1] == (
+            f"amplest: error: n_shot must be at most {2**53}, got 12336190318709242"
         )
         assert not record_path.exists()
 
@@ -217,6 +218,31 @@ class TestShotsNumpyCannotDraw:
     def test_plan_still_prints_them(self, capsys):
         main(["plan", "--max-depth", "16", "--epsilon", "1e-11"])
         assert json.loads(capsys.readouterr().out)["n_shot"] > 2**63 - 1
+
+
+class TestShotsNoFloatHoldsExactly:
+    def test_sweep_is_refused_before_any_fork_or_output(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # 12,336,190,318,709,242 planned shots, above 2^53, on two workers
+        forks = []
+        real_fork = os.fork
+
+        def counting_fork():
+            forks.append(None)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setenv("AMPLEST_THREADS", "2")
+        out = tmp_path / "refused.csv"
+        flags = ["--max-depth", "16", "--epsilon", "3e-10", "--points", "6"]
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", *flags, "--out", str(out)])
+        assert info.value.code == 2
+        printed, err = capsys.readouterr()
+        assert printed == "" and err.count("amplest: error:") == 1
+        assert err.splitlines()[-1].startswith("amplest: error: epsilon gives ")
+        assert forks == [] and not out.exists()
 
 
 # one command per way an output path is given, with the flag that names it

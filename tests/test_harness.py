@@ -71,6 +71,16 @@ class TestAchievedPrecision:
         with pytest.raises(ValueError):
             achieved_precision([], 0.01)
 
+    # an unchecked sort reads these as nan, 0.2 (the same errors in another
+    # order) and -1.0
+    @pytest.mark.parametrize(
+        "errors", [[math.nan, 0.2], [0.2, math.nan], [-1.0, 0.2]],
+        ids=["nan_first", "nan_last", "negative"],
+    )
+    def test_nan_or_negative_errors_are_refused_by_name(self, errors):
+        with pytest.raises(ValueError, match="^errors must be non-negative"):
+            achieved_precision(errors, 0.5)
+
     def test_delta_below_the_float_step_under_one_is_named(self):
         # 1 - 1e-17 rounds to 1.0, which leaves no (1 - delta) quantile
         with pytest.raises(ValueError, match="delta"):

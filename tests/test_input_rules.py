@@ -22,6 +22,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from amplest import sampler
 from amplest.harness import ExperimentConfig, call_ratio_table, oracle_validation
 from amplest.likelihood import (
     depth_log_likelihood,
@@ -37,6 +38,7 @@ from amplest.planner import (
     required_shots,
     single_shot_fisher_info,
 )
+from amplest.rng import record_streams
 from amplest.sampler import (
     MeasurementRecord,
     RecordEntry,
@@ -511,8 +513,12 @@ class TestScheduleFractions:
 
 
 # numpy's Generator.binomial draws counts up to 2^63 - 1 and raises
-# OverflowError above; every site that would hand it a count refuses first
+# OverflowError above; binomial_draw, one bare draw, refuses above it first
 _NUMPY_MAX_N = 2**63 - 1
+# Counts enter the maximizer as float64, exact up to 2^53: a measurement
+# record holds at most this many shots at a depth, and draw_record and the
+# experiment configs refuse more before any work
+_EXACT_MAX_N = 2**53
 
 
 class TestShotLimit:
@@ -530,8 +536,23 @@ class TestShotLimit:
         assert type(n) is int and 0 < n < _NUMPY_MAX_N
 
     def test_draw_record_draws_at_the_limit(self):
-        record = draw_record(0.3, SCHEDULE, _NUMPY_MAX_N, 3)
-        assert max(e.shots for e in record.entries) == _NUMPY_MAX_N
+        record = draw_record(0.3, SCHEDULE, _EXACT_MAX_N, 3)
+        assert max(e.shots for e in record.entries) == _EXACT_MAX_N
+
+    def test_draw_record_refuses_an_inexact_count_before_any_stream(
+        self, monkeypatch
+    ):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return record_streams(*args)
+
+        monkeypatch.setattr(sampler, "record_streams", counting)
+        message = f"^n_shot must be at most {_EXACT_MAX_N}, got {_EXACT_MAX_N + 1}$"
+        with pytest.raises(ValueError, match=message):
+            draw_record(0.3, SCHEDULE, _EXACT_MAX_N + 1, 3)
+        assert calls == []
 
     @pytest.mark.parametrize(
         "fields, name",
@@ -557,11 +578,35 @@ class TestShotLimit:
                 },
                 "n_shot_list",
             ),
+            # 12,336,190,318,709,242 planned shots: numpy draws them, a
+            # float64 count does not hold them exactly
+            ({"mode": "sweep", "amplitudes": 3, "epsilon": 3e-10}, "epsilon"),
+            (
+                {"mode": "exceptional_region", "amplitudes": [0.3], "epsilon": 3e-10},
+                "epsilon",
+            ),
+            (
+                {
+                    "mode": "precision_curve",
+                    "amplitudes": [0.3],
+                    "n_shot_list": [8, _EXACT_MAX_N + 1],
+                },
+                "n_shot_list",
+            ),
         ],
-        ids=["sweep", "exceptional_region", "curve", "curve_beyond_a_float"],
+        ids=[
+            "sweep",
+            "exceptional_region",
+            "curve",
+            "curve_beyond_a_float",
+            "sweep_inexact",
+            "exceptional_region_inexact",
+            "curve_inexact",
+        ],
     )
     def test_config_refuses_shots_above_the_limit_by_name(self, fields, name):
-        with pytest.raises(ValueError, match=f"^{name} gives .* binomial limit"):
+        message = f"^{name} gives .* exact-count limit {_EXACT_MAX_N}$"
+        with pytest.raises(ValueError, match=message):
             ExperimentConfig(**{"max_depth": 16, **fields})
 
     def test_config_takes_shots_at_the_limit(self):
@@ -569,13 +614,9 @@ class TestShotLimit:
             mode="precision_curve",
             max_depth=4,
             amplitudes=[0.3],
-            n_shot_list=[8, _NUMPY_MAX_N],
+            n_shot_list=[8, _EXACT_MAX_N],
         )
-        assert config.points == ((0.3, 8), (0.3, _NUMPY_MAX_N))
-
-
-# Counts enter the maximizer as float64, exact up to 2^53
-_EXACT_MAX_N = 2**53
+        assert config.points == ((0.3, 8), (0.3, _EXACT_MAX_N))
 
 
 def _nearly_all_hits(n: int) -> MeasurementRecord:
@@ -590,6 +631,16 @@ class TestExactCounts:
         message = f"^shots must be at most {_EXACT_MAX_N}, got {n}$"
         with pytest.raises(ValueError, match=message):
             grid_maximize(_nearly_all_hits(n), 5)
+
+    @pytest.mark.parametrize(
+        "call", [call for _, call in _record_builders("shots")],
+        ids=["construct", "from_dict"],
+    )
+    def test_record_refuses_shots_above_the_limit_by_name(self, call):
+        message = f"^shots must be at most {_EXACT_MAX_N}, got {_EXACT_MAX_N + 1}$"
+        with pytest.raises(ValueError, match=message):
+            call(_EXACT_MAX_N + 1)
+        assert call(_EXACT_MAX_N).entries[0].shots == _EXACT_MAX_N
 
     def test_maximizer_agrees_with_the_scan_at_the_limit(self):
         record = _nearly_all_hits(_EXACT_MAX_N)
@@ -662,3 +713,35 @@ class TestRecordRule:
         assert record_log_likelihood(
             estimate.theta_hat, record
         ) == pytest.approx(estimate.log_likelihood, rel=1e-12)
+
+
+class TestJsonShape:
+    @pytest.mark.parametrize("key", ["depths", "fractions", "kind"])
+    def test_schedule_without_a_key_is_refused_by_name(self, key):
+        data = exponential_schedule(3).to_dict()
+        del data[key]
+        with pytest.raises(ValueError, match=f"^{key} is missing$"):
+            Schedule.from_dict(data)
+
+    def test_record_without_entries_is_refused_by_name(self):
+        data = RECORD.to_dict()
+        del data["entries"]
+        with pytest.raises(ValueError, match="^entries is missing$"):
+            MeasurementRecord.from_dict(data)
+
+    @pytest.mark.parametrize("entry", [[2, 10, 3], 7, "depth"])
+    def test_an_entry_that_is_no_mapping_is_refused_by_name(self, entry):
+        with pytest.raises(ValueError, match="^entries must hold mappings"):
+            MeasurementRecord.from_dict({"entries": [ENTRY, entry]})
+
+    @pytest.mark.parametrize("pair", [1, None, [1], [1, 2, 3], "12"])
+    def test_a_fraction_that_is_no_pair_is_refused_by_name(self, pair):
+        data = {**exponential_schedule(2).to_dict(), "fractions": [[1, 1], pair]}
+        message = r"^fractions must hold \[numerator, denominator\] pairs"
+        with pytest.raises(ValueError, match=message):
+            Schedule.from_dict(data)
+
+    def test_a_zero_denominator_is_refused_by_name(self):
+        data = {**exponential_schedule(2).to_dict(), "fractions": [[1, 1], [1, 0]]}
+        with pytest.raises(ValueError, match="^fractions must be at least 1, got 0$"):
+            Schedule.from_dict(data)
