@@ -7,14 +7,22 @@ import math
 from collections.abc import Mapping
 from numbers import Integral, Real
 
+# The largest integer every kernel may hold as a float64: a shot count, a
+# grid size (so every ``index * step`` has an exact index) and ``2d + 1``
+# for a depth d. Float64 holds each integer up to 2^53 exactly, and the
+# likelihood's exact zeros need ``n - h`` and ``h / n`` exact.
+_MAX_EXACT = 2**53
+
 
 def ceil_guarded(x: float) -> int:
-    """Ceiling with a one-part-in-1e12 guard against float noise.
+    """Ceiling with a one-part-in-1e12 guard against float noise, never below
+    the floor.
 
     Quantities like ``eps**-2`` or ``0.95 * runs`` can land a few ulps above
-    an exact integer; a bare ceil would then overshoot by one.
+    an exact integer; a bare ceil would then overshoot by one. From 1e12 up
+    the guard exceeds one unit, and the floor bounds it.
     """
-    return math.ceil(x - abs(x) * 1e-12)
+    return max(math.floor(x), math.ceil(x - abs(x) * 1e-12))
 
 
 def json_int(
@@ -39,12 +47,16 @@ def json_int(
     return value
 
 
-def json_field(data: object, key: str) -> object:
-    """``data[key]`` of a parsed JSON mapping; a missing key raises
-    ``ValueError`` naming it."""
+def json_field(data: object, key: str, is_list: bool = False) -> object:
+    """``data[key]`` of a parsed JSON mapping; a missing key, or with
+    ``is_list`` a value that is no list (or tuple), raises ``ValueError``
+    naming it."""
     if not isinstance(data, Mapping) or key not in data:
         raise ValueError(f"{key} is missing")
-    return data[key]
+    value = data[key]
+    if is_list and not isinstance(value, (list, tuple)):
+        raise ValueError(f"{key} must be a list, got {value!r}")
+    return value
 
 
 def positive_real(value: object, field: str, upper: float = math.inf) -> float:

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field, replace
 from numbers import Number
 from typing import Iterable, NoReturn, Sequence
 
-from ._util import ceil_guarded, json_int, unit_real
+from ._util import _MAX_EXACT, ceil_guarded, json_int, unit_real
 from .likelihood import grid_maximize
 from .planner import (
     Plan,
@@ -55,7 +55,7 @@ from .planner import (
     required_shots,
 )
 from .rng import derive_key, substream
-from .sampler import _MAX_SHOTS, angle_from_amplitude, draw_record, good_prob
+from .sampler import angle_from_amplitude, draw_record, good_prob
 from .schedules import _MAX_DEPTH
 
 __all__ = [
@@ -100,7 +100,8 @@ class ExperimentConfig:
     [0, 1]; a ``k_index`` must name an exceptional value even where a list
     leaves it unused. A shot count above 2^53, the most shots a measurement
     record holds, is refused before any run, naming ``epsilon`` where the
-    shots are planned. Per mode:
+    shots are planned, and so is a grid of more than 2^53 angles (see
+    :func:`grid_points`). Per mode:
 
     * ``sweep``: ``runs_per_point`` is 1; no ``n_shot_list`` or ``k_index``.
     * ``precision_curve``: a non-empty ``n_shot_list`` of integers >= 1, kept
@@ -159,11 +160,11 @@ class ExperimentConfig:
             object.__setattr__(self, "n_shot_list", shots)
         else:  # bench/replay.py and tests/test_trace_hooks.py count this call
             shots = (required_shots(plan.epsilon, plan.delta, plan.schedule),)
-        if max(shots) > _MAX_SHOTS:
+        if max(shots) > _MAX_EXACT:
             source = "n_shot_list" if self.n_shot_list else "epsilon"
             raise ValueError(
                 f"{source} gives {max(shots)} shots per depth, above the "
-                f"exact-count limit {_MAX_SHOTS}"
+                f"exact-count limit {_MAX_EXACT}"
             )
         if self.n_shot_list:
             eps_min = _precision_from_shots(max(shots), plan.delta, plan.schedule)

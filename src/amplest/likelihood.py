@@ -54,7 +54,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from ._util import json_int
+from ._util import _MAX_EXACT, json_int
 from .planner import Plan
 from .sampler import MeasurementRecord, amplitude_from_angle, draw_record, good_prob
 
@@ -120,8 +120,9 @@ def _angle_step(grid_size: int) -> float:
 
 
 def grid_angles(grid_size: int) -> np.ndarray:
-    """``grid_size`` evenly spaced angles covering [0, pi/2] inclusive."""
-    grid_size = json_int(grid_size, "grid_size", 2)
+    """``grid_size`` evenly spaced angles covering [0, pi/2] inclusive;
+    ``grid_size`` is 2 to 2^53, so every ``index * step`` has an exact index."""
+    grid_size = json_int(grid_size, "grid_size", 2, _MAX_EXACT)
     return np.arange(grid_size) * _angle_step(grid_size)
 
 
@@ -320,10 +321,12 @@ def _descending(bounds: np.ndarray):
 def grid_maximize(record: MeasurementRecord, grid_size: int) -> Estimate:
     """First maximizer of the record's log-likelihood over the angle grid.
 
-    The kernels hold the counts as float64, exact because a
-    :class:`MeasurementRecord` holds at most 2^53 shots at a depth.
+    The kernels hold the counts and column indices as float64, exact because
+    a :class:`MeasurementRecord` holds at most 2^53 shots at a depth and
+    ``grid_size`` is 2 to 2^53; a larger grid is refused before any tree is
+    built.
     """
-    grid_size = json_int(grid_size, "grid_size", 2)
+    grid_size = json_int(grid_size, "grid_size", 2, _MAX_EXACT)
     depths, shots, hits = tuple(zip(*record.entries)) or ((), (), ())
     tree = _block_tree(depths, grid_size)
     width = tree.width

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._util import ceil_guarded, json_int, positive_real
+from ._util import _MAX_EXACT, ceil_guarded, json_int, positive_real
 from .schedules import (
     _MAX_DEPTH,
     Schedule,
@@ -192,12 +192,20 @@ def single_shot_fisher_info(a: float, depth: int) -> float:
 
 
 def grid_points(multiplier: float, epsilon: float) -> int:
-    """Angle-grid size ceil(multiplier / epsilon), >= 2, for any positive epsilon."""
+    """Angle-grid size ceil(multiplier / epsilon), >= 2, for any positive epsilon.
+
+    A ratio above 2^53, the largest grid whose indices are exact floats, is
+    refused (an infinite one too) naming both ``grid_multiplier`` and
+    ``epsilon``.
+    """
     multiplier = positive_real(multiplier, "grid_multiplier")
     # not _epsilon: a precision curve's grid epsilon may exceed 0.5
     raw = multiplier / positive_real(epsilon, "epsilon")
-    if not math.isfinite(raw):
-        raise ValueError(f"epsilon is too small for a finite grid, got {epsilon!r}")
+    if not raw <= _MAX_EXACT:
+        raise ValueError(
+            f"grid_multiplier / epsilon must be at most {_MAX_EXACT}, "
+            f"got {multiplier!r} / {epsilon!r}"
+        )
     return max(2, ceil_guarded(raw))
 
 

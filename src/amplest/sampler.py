@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from ._util import json_field, json_int, unit_real
+from ._util import _MAX_EXACT, json_field, json_int, unit_real
 from .rng import record_streams
 from .schedules import _MAX_DEPTH, Schedule
 
@@ -38,10 +38,6 @@ class RecordEntry(NamedTuple):
 
 # The optional provenance fields of a record, each with its reader
 _PROVENANCE = {"a_true": unit_real, "seed": json_int}
-# The most shots a record holds at a depth, and so the most ``draw_record``
-# and the experiments take: the likelihood holds counts as float64, exact up
-# to 2^53, and its exact zeros need ``n - h`` and ``h / n`` exact.
-_MAX_SHOTS = 2**53
 
 
 @dataclass(frozen=True)
@@ -51,7 +47,7 @@ class MeasurementRecord:
     ``entries`` holds (depth, shots, hits) triples, stored as a tuple of
     :class:`RecordEntry`. Depths, shots and hits are integers under
     ``json_int``'s rule, at least 0, 1 and 0; a depth is at most 2^52 - 1
-    as in a schedule, and shots at most 2^53 (``_MAX_SHOTS``); hits never
+    as in a schedule, and shots at most 2^53 (``_MAX_EXACT``); hits never
     exceed shots, and depths never decrease. A numpy count is stored as
     ``int``, and ``a_true`` and ``seed``, when given, as a float in [0, 1]
     and an ``int``. A bad value raises ``ValueError`` naming it.
@@ -78,7 +74,7 @@ class MeasurementRecord:
     @classmethod
     def from_dict(cls, data: dict) -> "MeasurementRecord":
         entries = []
-        for e in json_field(data, "entries"):
+        for e in json_field(data, "entries", is_list=True):
             if not isinstance(e, Mapping):
                 raise ValueError(
                     f"entries must hold mappings of depth, shots and hits, got {e!r}"
@@ -102,7 +98,7 @@ def _judged(entries: Iterable) -> tuple[RecordEntry, ...]:
         if not (
             type(entry) is RecordEntry
             and type(depth) is type(shots) is type(hits) is int
-            and last <= depth and 0 <= hits <= shots and 0 < shots <= _MAX_SHOTS
+            and last <= depth and 0 <= hits <= shots and 0 < shots <= _MAX_EXACT
         ):
             break
         last = depth
@@ -110,7 +106,7 @@ def _judged(entries: Iterable) -> tuple[RecordEntry, ...]:
         if last <= _MAX_DEPTH:
             return entries
     out: list[RecordEntry] = []
-    least, most = (0, 1, 0), (_MAX_DEPTH, _MAX_SHOTS, None)
+    least, most = (0, 1, 0), (_MAX_DEPTH, _MAX_EXACT, None)
     for entry in entries:
         depth, shots, hits = map(json_int, entry, RecordEntry._fields, least, most)
         if hits > shots:
@@ -140,22 +136,10 @@ def good_prob(theta: float, depth: int) -> float:
     return s * s
 
 
-# numpy's Generator.binomial raises OverflowError for a count above this
-_MAX_BINOMIAL_N = 2**63 - 1
-
-
 def binomial_draw(n: int, p: float, rng: np.random.Generator) -> int:
-    """One Binomial(n, p) draw; exact at the endpoints p = 0 and p = 1."""
-    return _binomial(json_int(n, "n", 0, _MAX_BINOMIAL_N), unit_real(p, "p"), rng)
-
-
-def _binomial(n: int, p: float, rng: np.random.Generator) -> int:
-    """:func:`binomial_draw` of a count and a probability already judged."""
-    if p == 0.0:
-        return 0
-    if p == 1.0:
-        return n
-    return int(rng.binomial(n, p))
+    """One Binomial(n, p) draw of at most 2^53 trials, the most shots a record
+    holds; numpy's draw is exactly 0 at p = 0 and n at p = 1."""
+    return int(rng.binomial(json_int(n, "n", 0, _MAX_EXACT), unit_real(p, "p")))
 
 
 def draw_record(
@@ -170,15 +154,17 @@ def draw_record(
     than ``n_shot``, which must be at most 2^53, the most shots a record
     holds; a larger one is refused before any stream is opened. Depth j
     draws from the substream (seed, j), so entries are independent of the
-    order in which they are produced.
+    order in which they are produced. At a = 0 every shot misses, and at
+    a = 1 every shot at depth 0 hits, as numpy's draw is exact at p = 0
+    and p = 1.
     """
     a, seed = unit_real(a, "a"), json_int(seed, "seed")
     depths = schedule.depths
-    shots = schedule.shots(json_int(n_shot, "n_shot", 1, _MAX_SHOTS))
+    shots = schedule.shots(json_int(n_shot, "n_shot", 1, _MAX_EXACT))
     theta = angle_from_amplitude(a)
     entries = []
     for rng, depth, n in zip(record_streams(seed, len(depths)), depths, shots):
         # n comes from a judged n_shot, and p, a sin^2, lies in [0, 1]
-        hits = _binomial(n, good_prob(theta, depth), rng)
+        hits = int(rng.binomial(n, good_prob(theta, depth)))
         entries.append(RecordEntry(depth, n, hits))
     return MeasurementRecord(tuple(entries), a_true=a, seed=seed)

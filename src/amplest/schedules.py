@@ -22,7 +22,7 @@ from functools import cached_property
 from itertools import groupby
 from typing import Iterable
 
-from ._util import ceil_guarded, json_field, json_int, positive_real
+from ._util import _MAX_EXACT, ceil_guarded, json_field, json_int, positive_real
 
 __all__ = [
     "Schedule",
@@ -41,10 +41,10 @@ __all__ = [
 _KINDS = ("exp", "exp_nu", "poly", "jittered", "custom")
 # The optional parameters of a schedule, each a finite positive real
 _PARAMETERS = ("nu", "spread_coeff", "beta")
-# The largest depth that any reader of a depth accepts: the largest d whose
-# 2d + 1 is exact in a float, as good_prob and the likelihood's factors
-# compute it.
-_MAX_DEPTH = 2**52 - 1
+# The largest depth that any reader of a depth accepts, 2^52 - 1: the largest
+# d whose 2d + 1 is exact in a float, as good_prob and the likelihood's
+# factors compute it.
+_MAX_DEPTH = _MAX_EXACT // 2 - 1
 
 
 def round_half_away(x: float) -> int:
@@ -154,7 +154,7 @@ class Schedule:
     @classmethod
     def from_dict(cls, data: dict) -> "Schedule":
         fractions = []
-        for pair in json_field(data, "fractions"):
+        for pair in json_field(data, "fractions", is_list=True):
             if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
                 raise ValueError(
                     f"fractions must hold [numerator, denominator] pairs, got {pair!r}"
@@ -162,7 +162,7 @@ class Schedule:
             n, d = json_int(pair[0], "fractions"), json_int(pair[1], "fractions", 1)
             fractions.append(Fraction(n, d))
         return cls(
-            depths=json_field(data, "depths"),
+            depths=json_field(data, "depths", is_list=True),
             fractions=tuple(fractions),
             kind=json_field(data, "kind"),
             **{name: data.get(name) for name in _PARAMETERS},

@@ -7,6 +7,7 @@ import pytest
 
 import amplest.cli as cli
 from amplest.cli import main
+from amplest.harness import ExperimentConfig
 from amplest.likelihood import grid_maximize
 from amplest.planner import make_plan
 from amplest.sampler import MeasurementRecord
@@ -97,7 +98,8 @@ class TestEstimateCommand:
         assert printed == estimate.to_dict()
 
     def test_shots_beyond_an_exact_count_is_one_error_line(self, capsys, tmp_path):
-        # 12,336,190,318,709,242 planned shots, above 2^53: refused before the draw
+        # 12,336,190,318,721,578 planned shots, the ceiling of the raw
+        # requirement, above 2^53: refused before the draw
         record_path = tmp_path / "record.json"
         args = ["--max-depth", "16", "--epsilon", "3e-10", "--amplitude", "0.3"]
         with pytest.raises(SystemExit) as info:
@@ -106,7 +108,7 @@ class TestEstimateCommand:
         out, err = capsys.readouterr()
         assert out == "" and err.count("amplest: error:") == 1
         assert err.splitlines()[-1] == (
-            f"amplest: error: n_shot must be at most {2**53}, got 12336190318709242"
+            f"amplest: error: n_shot must be at most {2**53}, got 12336190318721578"
         )
         assert not record_path.exists()
 
@@ -220,20 +222,24 @@ class TestShotsNumpyCannotDraw:
         assert json.loads(capsys.readouterr().out)["n_shot"] > 2**63 - 1
 
 
+@pytest.fixture
+def forks(monkeypatch) -> list:
+    """One entry per ``os.fork`` call, with two workers configured."""
+    calls = []
+    real_fork = os.fork
+
+    def counting_fork():
+        calls.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setenv("AMPLEST_THREADS", "2")
+    return calls
+
+
 class TestShotsNoFloatHoldsExactly:
-    def test_sweep_is_refused_before_any_fork_or_output(
-        self, capsys, tmp_path, monkeypatch
-    ):
-        # 12,336,190,318,709,242 planned shots, above 2^53, on two workers
-        forks = []
-        real_fork = os.fork
-
-        def counting_fork():
-            forks.append(None)
-            return real_fork()
-
-        monkeypatch.setattr(os, "fork", counting_fork)
-        monkeypatch.setenv("AMPLEST_THREADS", "2")
+    def test_sweep_is_refused_before_any_fork_or_output(self, capsys, tmp_path, forks):
+        # 12,336,190,318,721,578 planned shots, above 2^53, on two workers
         out = tmp_path / "refused.csv"
         flags = ["--max-depth", "16", "--epsilon", "3e-10", "--points", "6"]
         with pytest.raises(SystemExit) as info:
@@ -242,6 +248,40 @@ class TestShotsNoFloatHoldsExactly:
         printed, err = capsys.readouterr()
         assert printed == "" and err.count("amplest: error:") == 1
         assert err.splitlines()[-1].startswith("amplest: error: epsilon gives ")
+        assert forks == [] and not out.exists()
+
+
+class TestGridNoFloatIndexes:
+    def test_plan_is_one_error_line(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["plan", "--max-depth", "4", "--epsilon", "1e-2",
+                  "--grid-multiplier", "1e300"])
+        assert info.value.code == 2
+        printed, err = capsys.readouterr()
+        assert printed == "" and err.count("amplest: error:") == 1
+        assert err.splitlines()[-1].startswith(
+            "amplest: error: grid_multiplier / epsilon must be at most "
+        )
+
+    def test_region_is_refused_before_any_fork_or_output(self, capsys, tmp_path, forks):
+        # 10^19 grid points, above 2^53, on two workers. The config's refusal
+        # first: without it the scan below runs for hours
+        with pytest.raises(ValueError, match="^grid_multiplier / epsilon"):
+            ExperimentConfig(
+                mode="exceptional_region", max_depth=4, epsilon=1e-2,
+                amplitudes=2, k_index=3, grid_multiplier=1e17,
+            )
+        out = tmp_path / "refused.csv"
+        flags = ["--max-depth", "4", "--epsilon", "1e-2", "--grid-multiplier", "1e17",
+                 "--k", "3", "--points", "2", "--runs", "1"]
+        with pytest.raises(SystemExit) as info:
+            main(["exceptional-region", *flags, "--out", str(out)])
+        assert info.value.code == 2
+        printed, err = capsys.readouterr()
+        assert printed == "" and err.count("amplest: error:") == 1
+        assert err.splitlines()[-1].startswith(
+            "amplest: error: grid_multiplier / epsilon must be at most "
+        )
         assert forks == [] and not out.exists()
 
 

@@ -513,11 +513,11 @@ class TestScheduleFractions:
 
 
 # numpy's Generator.binomial draws counts up to 2^63 - 1 and raises
-# OverflowError above; binomial_draw, one bare draw, refuses above it first
+# OverflowError above
 _NUMPY_MAX_N = 2**63 - 1
 # Counts enter the maximizer as float64, exact up to 2^53: a measurement
-# record holds at most this many shots at a depth, and draw_record and the
-# experiment configs refuse more before any work
+# record holds at most this many shots at a depth, and binomial_draw,
+# draw_record and the experiment configs refuse more before any work
 _EXACT_MAX_N = 2**53
 
 
@@ -532,8 +532,17 @@ class TestShotLimit:
             binomial_draw(_NUMPY_MAX_N + 1, 0.5, rng)
 
     def test_binomial_draw_draws_at_the_limit(self):
-        n = binomial_draw(np.uint64(_NUMPY_MAX_N), 0.5, np.random.default_rng(1))
-        assert type(n) is int and 0 < n < _NUMPY_MAX_N
+        rng = np.random.default_rng(1)
+        n = binomial_draw(np.uint64(_EXACT_MAX_N), 0.5, rng)
+        assert type(n) is int and 0 < n < _EXACT_MAX_N
+        # numpy's draw, with no shortcut, is exact at the endpoints
+        assert binomial_draw(_EXACT_MAX_N, 0.0, rng) == 0
+        assert binomial_draw(_EXACT_MAX_N, 1.0, rng) == _EXACT_MAX_N
+
+    def test_binomial_draw_refuses_an_inexact_count_by_name(self):
+        message = f"^n must be at most {_EXACT_MAX_N}, got {_EXACT_MAX_N + 1}$"
+        with pytest.raises(ValueError, match=message):
+            binomial_draw(_EXACT_MAX_N + 1, 0.5, np.random.default_rng(1))
 
     def test_draw_record_draws_at_the_limit(self):
         record = draw_record(0.3, SCHEDULE, _EXACT_MAX_N, 3)
@@ -578,7 +587,7 @@ class TestShotLimit:
                 },
                 "n_shot_list",
             ),
-            # 12,336,190,318,709,242 planned shots: numpy draws them, a
+            # 12,336,190,318,721,578 planned shots: numpy draws them, a
             # float64 count does not hold them exactly
             ({"mode": "sweep", "amplitudes": 3, "epsilon": 3e-10}, "epsilon"),
             (
@@ -646,6 +655,21 @@ class TestExactCounts:
         record = _nearly_all_hits(_EXACT_MAX_N)
         values = [record_log_likelihood(t, record) for t in grid_angles(5)]
         assert grid_maximize(record, 5).grid_index == values.index(max(values)) == 3
+
+
+class TestGridLimit:
+    def test_angles_refuse_a_grid_above_the_limit_by_name(self):
+        message = f"^grid_size must be at most {_EXACT_MAX_N}, got {_EXACT_MAX_N + 1}$"
+        with pytest.raises(ValueError, match=message):
+            grid_angles(_EXACT_MAX_N + 1)
+
+    def test_maximizer_refuses_a_grid_above_the_limit_before_any_tree(self):
+        # 10^20 first: a maximizer without the limit fails there at once,
+        # where 2^53 + 1 would build a tree of ~2^18 blocks
+        for grid_size in (10**20, _EXACT_MAX_N + 1):
+            message = f"^grid_size must be at most {_EXACT_MAX_N}, got {grid_size}$"
+            with pytest.raises(ValueError, match=message):
+                grid_maximize(RECORD, grid_size)
 
 
 class TestExceptionalListSize:
@@ -740,6 +764,20 @@ class TestJsonShape:
         message = r"^fractions must hold \[numerator, denominator\] pairs"
         with pytest.raises(ValueError, match=message):
             Schedule.from_dict(data)
+
+    @pytest.mark.parametrize("key", ["depths", "fractions"])
+    @pytest.mark.parametrize("value", [5, None, "01"])
+    def test_a_schedule_list_that_is_no_list_is_refused_by_name(self, key, value):
+        data = {**exponential_schedule(2).to_dict(), key: value}
+        message = f"^{re.escape(f'{key} must be a list, got {value!r}')}$"
+        with pytest.raises(ValueError, match=message):
+            Schedule.from_dict(data)
+
+    @pytest.mark.parametrize("value", [7, None, "abc", {"depth": 0}])
+    def test_entries_that_are_no_list_are_refused_by_name(self, value):
+        message = f"^{re.escape(f'entries must be a list, got {value!r}')}$"
+        with pytest.raises(ValueError, match=message):
+            MeasurementRecord.from_dict({"entries": value})
 
     def test_a_zero_denominator_is_refused_by_name(self):
         data = {**exponential_schedule(2).to_dict(), "fractions": [[1, 1], [1, 0]]}

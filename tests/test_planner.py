@@ -1,11 +1,15 @@
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from amplest._util import ceil_guarded
 from amplest.harness import ExperimentConfig
 from amplest.planner import (
     Plan,
@@ -237,6 +241,44 @@ class TestSingleShotFisherInfo:
                 )
 
 
+# The most points a grid holds: 2^53, where every index is an exact float
+_EXACT_MAX_G = 2**53
+
+
+class TestGridLimit:
+    @pytest.mark.parametrize(
+        "multiplier, epsilon",
+        [(1e300, 1e-2), (2.0**51 + 1, 0.25), (3.0, 1e-320)],
+        ids=["1e302", "2^53+4", "overflow"],
+    )
+    def test_grid_above_the_limit_is_refused_naming_both_fields(
+        self, multiplier, epsilon
+    ):
+        message = (
+            f"grid_multiplier / epsilon must be at most {_EXACT_MAX_G}, "
+            f"got {multiplier!r} / {epsilon!r}"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            grid_points(multiplier, epsilon)
+
+    def test_grid_at_the_limit_is_taken(self):
+        # with a guard larger than one unit the ceiling read 2^53 - 9,007
+        assert grid_points(2.0**51, 0.25) == _EXACT_MAX_G
+
+
+class TestCeilGuarded:
+    @given(st.floats(min_value=-(2.0**60), max_value=2.0**60))
+    @example(5e12 + 3.7)
+    def test_never_below_the_floor(self, x):
+        assert math.floor(x) <= ceil_guarded(x) <= math.ceil(x)
+
+    def test_large_sizes_reach_their_ceiling(self):
+        # the guard exceeds one unit above 1e12: these read 999,999,999,999
+        # and 12,336,190,318,709,242 when the guard alone decided
+        assert grid_points(3, 3e-12) == 10**12
+        assert make_plan(3e-10, 0.01, 16).n_shot == 12336190318721578
+
+
 class TestMakePlan:
     def test_depth16(self):
         plan = make_plan(1e-3, 0.01, 16)
@@ -331,8 +373,9 @@ _GOOD = {
     "grid_multiplier": 3.0,
 }
 _NOT_POSITIVE_REALS = [math.nan, math.inf, -math.inf, True, "0.1", 0, -0.1]
-# epsilon^2 underflows to a subnormal at 1e-160 and to 0 at 1e-170, and
-# 3 / 1e-320 overflows: no finite shot count or grid exists for them
+# epsilon^2 underflows to a subnormal at 1e-160 and to 0 at 1e-170, so no
+# finite shot count exists for them; their grids, 3 / epsilon points (and
+# 3 / 1e-320 overflows), lie above the 2^53 points a grid may hold
 _TINY_EPSILONS = [1e-160, 1e-170, 1e-320]
 _BAD = {
     "epsilon": _NOT_POSITIVE_REALS + [0.5, 0.7] + _TINY_EPSILONS,
@@ -340,7 +383,8 @@ _BAD = {
     "max_depth": [2.5, True, -1],
     "jittered": ["no", 1],
     "spread_coeff": _NOT_POSITIVE_REALS,
-    "grid_multiplier": _NOT_POSITIVE_REALS,
+    # a grid of 1e302 points, above the 2^53 a grid may hold
+    "grid_multiplier": _NOT_POSITIVE_REALS + [1e300],
 }
 _ENTRIES = {
     "make_plan": (lambda f: make_plan(**f), set(_GOOD)),
@@ -368,7 +412,7 @@ _CASES = [
     for entry, (_, reads) in _ENTRIES.items()
     for field in sorted(reads)
     for value in _BAD[field]
-    if not (entry == "grid_points" and value in (0.5, 0.7, 1e-160, 1e-170))
+    if not (entry == "grid_points" and value in (0.5, 0.7))
 ]
 
 
