@@ -4,7 +4,7 @@ each returns a plain value or raises ``ValueError`` naming the field."""
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Callable, Iterable, Mapping
 from numbers import Integral, Real
 
 # The largest integer every kernel may hold as a float64: a shot count, a
@@ -47,16 +47,33 @@ def json_int(
     return value
 
 
-def json_field(data: object, key: str, is_list: bool = False) -> object:
-    """``data[key]`` of a parsed JSON mapping; a missing key, or with
-    ``is_list`` a value that is no list (or tuple), raises ``ValueError``
-    naming it."""
+def json_field(data: object, key: str) -> object:
+    """``data[key]`` of a parsed JSON mapping; a missing key raises
+    ``ValueError`` naming it. A list-valued field is then read by
+    :func:`json_list`."""
     if not isinstance(data, Mapping) or key not in data:
         raise ValueError(f"{key} is missing")
-    value = data[key]
-    if is_list and not isinstance(value, (list, tuple)):
-        raise ValueError(f"{key} must be a list, got {value!r}")
-    return value
+    return data[key]
+
+
+def json_list(
+    value: object, field: str, read: Callable | None = None, least: int = 0
+) -> tuple:
+    """``value``'s items as a tuple, each read by ``read(item, field)`` when
+    given; else ``ValueError`` naming ``field``.
+
+    The one reader of list-valued input. Lists, tuples, ranges, sets, numpy
+    arrays and generators pass; a str, bytes, a mapping or a non-iterable is
+    refused, as iterating it would read characters or keys, and so are
+    fewer than ``least`` items. A tuple read with no ``read`` is returned as
+    it is.
+    """
+    if isinstance(value, (str, bytes, Mapping)) or not isinstance(value, Iterable):
+        raise ValueError(f"{field} must be a list, got {value!r}")
+    items = tuple(value) if read is None else tuple(read(v, field) for v in value)
+    if len(items) < least:
+        raise ValueError(f"{field} must list at least {least}, got {len(items)}")
+    return items
 
 
 def positive_real(value: object, field: str, upper: float = math.inf) -> float:

@@ -40,10 +40,11 @@ import os
 import pickle
 import signal
 from dataclasses import dataclass, field, replace
+from functools import partial
 from numbers import Number
 from typing import Iterable, NoReturn, Sequence
 
-from ._util import _MAX_EXACT, ceil_guarded, json_int, unit_real
+from ._util import _MAX_EXACT, ceil_guarded, json_int, json_list, unit_real
 from .likelihood import grid_maximize
 from .planner import (
     Plan,
@@ -96,16 +97,18 @@ class ExperimentConfig:
     ``max_depth`` as an int, and the ``points``, each amplitude paired with
     each shot count (the planned shots outside a precision curve).
     ``jittered`` is kept as a bool. The other integer fields refuse bools and
-    floats; ``amplitudes`` is a count >= 2 or a non-empty list of numbers in
-    [0, 1]; a ``k_index`` must name an exceptional value even where a list
-    leaves it unused. A shot count above 2^53, the most shots a measurement
-    record holds, is refused before any run, naming ``epsilon`` where the
-    shots are planned, and so is a grid of more than 2^53 angles (see
-    :func:`grid_points`). Per mode:
+    floats; ``amplitudes`` is a count >= 2 or a list of at least one number
+    in [0, 1]. Each list is read by ``json_list``: a string, bytes, a mapping
+    or (for ``n_shot_list``) a number is refused by name. A ``k_index`` must
+    name an exceptional value even where a list leaves it unused. A shot
+    count above 2^53, the most shots a measurement record holds, is refused
+    before any run, naming ``epsilon`` where the shots are planned, and so
+    is a grid of more than 2^53 angles (see :func:`grid_points`). Per mode:
 
     * ``sweep``: ``runs_per_point`` is 1; no ``n_shot_list`` or ``k_index``.
-    * ``precision_curve``: a non-empty ``n_shot_list`` of integers >= 1, kept
-      as a tuple, whose largest entry sets the plan's grid size; no ``k_index``.
+    * ``precision_curve``: an ``n_shot_list`` of at least one integer >= 1,
+      kept as a tuple, whose largest entry sets the plan's grid size; no
+      ``k_index``.
     * ``exceptional_region``: no ``n_shot_list``; a count of amplitudes needs
       a ``k_index`` whose band lies inside [0, 1].
     """
@@ -153,10 +156,8 @@ class ExperimentConfig:
             if unused:
                 raise ValueError(f"{mode} does not use {name}; leave it unset")
         if mode == "precision_curve":
-            shots = self.n_shot_list if isinstance(self.n_shot_list, Iterable) else ()
-            shots = tuple(json_int(n, "n_shot_list", 1) for n in shots)
-            if not shots:
-                raise ValueError("precision_curve needs a non-empty n_shot_list")
+            read = partial(json_int, least=1)
+            shots = json_list(self.n_shot_list, "n_shot_list", read, least=1)
             object.__setattr__(self, "n_shot_list", shots)
         else:  # bench/replay.py and tests/test_trace_hooks.py count this call
             shots = (required_shots(plan.epsilon, plan.delta, plan.schedule),)
@@ -191,20 +192,14 @@ def achieved_precision(errors: Sequence[float], delta: float) -> float:
     return sorted(errors)[rank - 1]
 
 
-def _amplitudes(config: ExperimentConfig) -> list[float]:
+def _amplitudes(config: ExperimentConfig) -> Sequence[float]:
     """The configured amplitudes; a count spans [0, 1] or the exceptional band."""
     last_k = 2 * config.plan.max_depth + 1
     needs_k = f"exceptional_region needs k_index in [0, {last_k}]"
     if config.k_index is not None and not 0 <= config.k_index <= last_k:
         raise ValueError(needs_k)
     if not isinstance(config.amplitudes, int):
-        values = config.amplitudes
-        if isinstance(values, str) or not isinstance(values, Iterable):
-            raise ValueError(f"amplitudes must be a count or a list, got {values!r}")
-        values = [unit_real(a, "amplitudes") for a in values]
-        if not values:
-            raise ValueError("amplitudes must list at least one amplitude")
-        return values
+        return json_list(config.amplitudes, "amplitudes", unit_real, least=1)
     count = config.amplitudes
     if config.mode != "exceptional_region":
         return [i / (count - 1) for i in range(count)]
@@ -361,10 +356,13 @@ def exceptional_region_scan(config: ExperimentConfig) -> list[dict]:
 def call_ratio_table(
     d_list: Sequence[int], eps: float, delta: float, c: float
 ) -> list[dict]:
-    """Jittered versus unjittered call counts per maximum depth; no sampling."""
-    d_list = [json_int(d, "d_list", 1, _MAX_DEPTH) for d in d_list]
-    if not d_list:
-        raise ValueError("d_list must be non-empty")
+    """Jittered versus unjittered call counts per maximum depth; no sampling.
+
+    ``d_list`` is a list, read by ``json_list``, of at least one maximum
+    depth in [1, 2^52 - 1].
+    """
+    read = partial(json_int, least=1, most=_MAX_DEPTH)
+    d_list = json_list(d_list, "d_list", read, least=1)
     rows = []
     for d in d_list:
         plain = make_plan(eps, delta, d).n_calls

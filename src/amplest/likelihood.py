@@ -324,10 +324,13 @@ def grid_maximize(record: MeasurementRecord, grid_size: int) -> Estimate:
     The kernels hold the counts and column indices as float64, exact because
     a :class:`MeasurementRecord` holds at most 2^53 shots at a depth and
     ``grid_size`` is 2 to 2^53; a larger grid is refused before any tree is
-    built.
+    built. A record with no entries has the same log-likelihood, 0, at
+    every column, so column 0 is returned before any block is bounded.
     """
     grid_size = json_int(grid_size, "grid_size", 2, _MAX_EXACT)
-    depths, shots, hits = tuple(zip(*record.entries)) or ((), (), ())
+    if not record.entries:  # a flat likelihood: every column is 0, the first wins
+        return Estimate(0.0, 0.0, 0, 0.0, grid_size)
+    depths, shots, hits = zip(*record.entries)
     tree = _block_tree(depths, grid_size)
     width = tree.width
     # Column 0 at -inf is an exhaustive scan's answer when nothing beats it.

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from ._util import _MAX_EXACT, json_field, json_int, unit_real
+from ._util import _MAX_EXACT, json_field, json_int, json_list, unit_real
 from .rng import record_streams
 from .schedules import _MAX_DEPTH, Schedule
 
@@ -44,11 +44,12 @@ _PROVENANCE = {"a_true": unit_real, "seed": json_int}
 class MeasurementRecord:
     """Per-depth good-outcome counts, with provenance when simulated.
 
-    ``entries`` holds (depth, shots, hits) triples, stored as a tuple of
-    :class:`RecordEntry`. Depths, shots and hits are integers under
-    ``json_int``'s rule, at least 0, 1 and 0; a depth is at most 2^52 - 1
-    as in a schedule, and shots at most 2^53 (``_MAX_EXACT``); hits never
-    exceed shots, and depths never decrease. A numpy count is stored as
+    ``entries`` is a list of (depth, shots, hits) triples, read by
+    ``json_list`` and stored as a tuple of :class:`RecordEntry`; an entry
+    that is no triple is refused by ``entries``. Depths, shots and hits are
+    integers under ``json_int``'s rule, at least 0, 1 and 0; a depth is at
+    most 2^52 - 1 as in a schedule, and shots at most 2^53 (``_MAX_EXACT``);
+    hits never exceed shots, and depths never decrease. A numpy count is stored as
     ``int``, and ``a_true`` and ``seed``, when given, as a float in [0, 1]
     and an ``int``. A bad value raises ``ValueError`` naming it.
     """
@@ -74,7 +75,7 @@ class MeasurementRecord:
     @classmethod
     def from_dict(cls, data: dict) -> "MeasurementRecord":
         entries = []
-        for e in json_field(data, "entries", is_list=True):
+        for e in json_list(json_field(data, "entries"), "entries"):
             if not isinstance(e, Mapping):
                 raise ValueError(
                     f"entries must hold mappings of depth, shots and hits, got {e!r}"
@@ -88,16 +89,19 @@ def _judged(entries: Iterable) -> tuple[RecordEntry, ...]:
     :class:`MeasurementRecord`'s rule, or ``ValueError`` naming the field.
 
     A tuple already in that form is returned as it is, at the cost of type
-    tests and comparisons; any other input is read value by value and
-    rebuilt.
+    tests and comparisons. Any other input is read by ``json_list``, each
+    entry as a (depth, shots, hits) triple and each value by ``json_int``,
+    and rebuilt; an entry that is no such triple is refused by ``entries``.
     """
-    entries = tuple(entries)  # the same tuple when it is one
+    if type(entries) is not tuple:  # a drawn record's tuple skips the list tests
+        entries = json_list(entries, "entries")
     last = 0
     for entry in entries:
+        if type(entry) is not RecordEntry:
+            break
         depth, shots, hits = entry
         if not (
-            type(entry) is RecordEntry
-            and type(depth) is type(shots) is type(hits) is int
+            type(depth) is type(shots) is type(hits) is int
             and last <= depth and 0 <= hits <= shots and 0 < shots <= _MAX_EXACT
         ):
             break
@@ -108,7 +112,13 @@ def _judged(entries: Iterable) -> tuple[RecordEntry, ...]:
     out: list[RecordEntry] = []
     least, most = (0, 1, 0), (_MAX_DEPTH, _MAX_EXACT, None)
     for entry in entries:
-        depth, shots, hits = map(json_int, entry, RecordEntry._fields, least, most)
+        try:  # json_list refuses a non-list, the unpacking a wrong length
+            depth, shots, hits = triple = json_list(entry, "entries")
+        except ValueError:
+            raise ValueError(
+                f"entries must hold (depth, shots, hits) triples, got {entry!r}"
+            ) from None
+        depth, shots, hits = map(json_int, triple, RecordEntry._fields, least, most)
         if hits > shots:
             raise ValueError(
                 f"hits must be at most {shots} at depth {depth}, got {hits}"

@@ -18,11 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import groupby
 from typing import Iterable
 
-from ._util import _MAX_EXACT, ceil_guarded, json_field, json_int, positive_real
+from ._util import (
+    _MAX_EXACT, ceil_guarded, json_field, json_int, json_list, positive_real,
+)
 
 __all__ = [
     "Schedule",
@@ -45,6 +47,10 @@ _PARAMETERS = ("nu", "spread_coeff", "beta")
 # d whose 2d + 1 is exact in a float, as good_prob and the likelihood's
 # factors compute it.
 _MAX_DEPTH = _MAX_EXACT // 2 - 1
+# The most shot counts a schedule keeps the per-depth shots of: each
+# experiment point draws all its runs at one count, so a few suffice, and a
+# caller that asks for many distinct counts keeps no more memory than this.
+_SHOTS_KEPT = 8
 
 
 def round_half_away(x: float) -> int:
@@ -56,10 +62,12 @@ def round_half_away(x: float) -> int:
 class Schedule:
     """An ordered list of Grover depths with per-depth shot fractions.
 
-    ``depths`` are ints in [0, 2^52 - 1], so every 2d + 1 is an exact float,
-    and ``fractions`` exact rationals (a ``Fraction`` or an int, stored as
-    ``Fraction``) so that jitter-group sums can be checked without drift;
-    they are 1 everywhere for unjittered kinds.
+    ``depths`` and ``fractions`` are lists, read by ``json_list`` and stored
+    as tuples; a schedule has at least one depth. ``depths`` are ints in
+    [0, 2^52 - 1], so every 2d + 1 is an exact float, and ``fractions``
+    exact rationals (a ``Fraction`` or an int, stored as ``Fraction``) so
+    that jitter-group sums can be checked without drift; they are 1
+    everywhere for unjittered kinds.
     ``nu`` is the geometric base of an ``exp_nu`` schedule, ``spread_coeff``
     the jitter coefficient, and ``beta`` the polynomial depth-exponent
     parameter; each is present only where it applies, and then a finite
@@ -79,15 +87,11 @@ class Schedule:
         for name in _PARAMETERS:
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, positive_real(getattr(self, name), name))
-        depths = tuple(json_int(d, "depths", 0, _MAX_DEPTH) for d in self.depths)
-        fractions = tuple(
-            f if isinstance(f, Fraction) else Fraction(json_int(f, "fractions"))
-            for f in self.fractions
-        )
+        read_depth = partial(json_int, least=0, most=_MAX_DEPTH)
+        depths = json_list(self.depths, "depths", read_depth, least=1)
+        fractions = json_list(self.fractions, "fractions", _fraction)
         object.__setattr__(self, "depths", depths)
         object.__setattr__(self, "fractions", fractions)
-        if not self.depths:
-            raise ValueError("schedule must contain at least one depth")
         if len(self.depths) != len(self.fractions):
             raise ValueError("depths and fractions must have equal length")
         pairs = zip(self.depths, self.depths[1:])
@@ -127,13 +131,17 @@ class Schedule:
         """Shots each depth performs for ``n_shot`` planned shots.
 
         A depth with shot fraction F performs ceil(F * n_shot) shots, in exact
-        rational arithmetic so the ceiling is never off by one. Computed once
-        per ``n_shot`` and kept on the schedule.
+        rational arithmetic so the ceiling is never off by one. The shots of
+        up to ``_SHOTS_KEPT`` counts are kept on the schedule; a new count
+        beyond that empties the store first, so memory stays bounded however
+        many counts are asked for.
         """
         n_shot = json_int(n_shot, "n_shot", 1)
         shots = self._shots.get(n_shot)
         if shots is None:
             shots = tuple(math.ceil(f * n_shot) for f in self.fractions)
+            if len(self._shots) >= _SHOTS_KEPT:
+                self._shots.clear()
             self._shots[n_shot] = shots
         return shots
 
@@ -153,20 +161,28 @@ class Schedule:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Schedule":
-        fractions = []
-        for pair in json_field(data, "fractions", is_list=True):
-            if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-                raise ValueError(
-                    f"fractions must hold [numerator, denominator] pairs, got {pair!r}"
-                )
-            n, d = json_int(pair[0], "fractions"), json_int(pair[1], "fractions", 1)
-            fractions.append(Fraction(n, d))
         return cls(
-            depths=json_field(data, "depths", is_list=True),
-            fractions=tuple(fractions),
+            depths=json_field(data, "depths"),
+            fractions=json_list(json_field(data, "fractions"), "fractions", _pair),
             kind=json_field(data, "kind"),
             **{name: data.get(name) for name in _PARAMETERS},
         )
+
+
+def _fraction(f: object, field: str) -> Fraction:
+    """A shot fraction as given, or an integer one as an exact ``Fraction``."""
+    return f if isinstance(f, Fraction) else Fraction(json_int(f, field))
+
+
+def _pair(pair: object, field: str) -> Fraction:
+    """A JSON ``[numerator, denominator]`` pair as a ``Fraction``."""
+    try:  # json_list refuses a non-list, the unpacking a wrong length
+        n, d = json_list(pair, field)
+    except ValueError:
+        raise ValueError(
+            f"{field} must hold [numerator, denominator] pairs, got {pair!r}"
+        ) from None
+    return Fraction(json_int(n, field), json_int(d, field, 1))
 
 
 def _unit_fractions(n: int) -> tuple[Fraction, ...]:

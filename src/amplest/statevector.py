@@ -25,10 +25,11 @@ the bits a fresh start from |A> would.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from ._util import json_int, unit_real
+from ._util import json_int, json_list, unit_real
 
 __all__ = [
     "StatePrep", "prepare_state", "apply_grover", "grover_power_probs",
@@ -42,7 +43,9 @@ MAX_QUBITS = 12
 class StatePrep:
     """A uniform good/bad superposition on ``n_qubits`` with weight ``amplitude``.
 
-    ``mask`` (True on good indices) and ``state``, |A> with value
+    ``good_set`` is a list or set of basis indices in [0, 2^n_qubits - 1],
+    read by ``json_list``, neither empty nor the whole basis, and stored as a
+    frozenset. ``mask`` (True on good indices) and ``state``, |A> with value
     sqrt(a/|G|) on good indices and sqrt((1-a)/|B|) on bad ones, are built
     once and read-only; equality, hashing and repr ignore them.
     """
@@ -56,11 +59,10 @@ class StatePrep:
     def __post_init__(self) -> None:
         n_qubits = json_int(self.n_qubits, "n_qubits", 1, MAX_QUBITS)
         dim = 1 << n_qubits
-        good_set = frozenset(json_int(i, "good_set", 0) for i in self.good_set)
+        read = partial(json_int, least=0, most=dim - 1)
+        good_set = frozenset(json_list(self.good_set, "good_set", read))
         if not good_set or len(good_set) >= dim:
             raise ValueError("good_set must be a non-empty proper subset of the basis")
-        if max(good_set) >= dim:
-            raise ValueError("good_set indices out of range")
         object.__setattr__(self, "n_qubits", n_qubits)
         object.__setattr__(self, "good_set", good_set)
         object.__setattr__(self, "amplitude", unit_real(self.amplitude, "amplitude"))

@@ -729,7 +729,7 @@ class TestConfigValidation:
             ExperimentConfig(mode="sweep", runs_per_point=0)
         with pytest.raises(ValueError):
             ExperimentConfig(mode="sweep", amplitudes=[0.5, 1.2])
-        with pytest.raises(ValueError, match="amplitudes must list at least one"):
+        with pytest.raises(ValueError, match="amplitudes must list at least 1"):
             ExperimentConfig(mode="sweep", amplitudes=[])
         for value in ("no", 1, None):
             with pytest.raises(ValueError, match="jittered must be a bool"):

@@ -729,6 +729,15 @@ class TestRecordRule:
                 data = [dict(zip(RecordEntry._fields, e)) for e in entries]
                 MeasurementRecord.from_dict({"entries": data})
 
+    @pytest.mark.parametrize(
+        "entry", [(1, 2), 5, {"depth": 0, "shots": 5, "hits": 2}, "abc", (0, 5, 2, 1)]
+    )
+    def test_an_entry_that_is_no_triple_is_refused_by_name(self, entry):
+        refusal = f"entries must hold (depth, shots, hits) triples, got {entry!r}"
+        message = f"^{re.escape(refusal)}$"
+        with pytest.raises(ValueError, match=message):
+            MeasurementRecord([(0, 5, 2), entry])
+
     def test_maximizer_and_reference_agree_on_a_numpy_record(self):
         entries = tuple(RecordEntry(*map(np.int64, e)) for e in RECORD.entries)
         record = MeasurementRecord(entries)
@@ -737,6 +746,92 @@ class TestRecordRule:
         assert record_log_likelihood(
             estimate.theta_hat, record
         ) == pytest.approx(estimate.log_likelihood, rel=1e-12)
+
+
+# Every list-valued input: (call, field, a good list, its least length).
+_LIST_SITES = {
+    "Schedule.depths": (
+        lambda v: Schedule(v, (ONE, ONE), kind="custom"),
+        "depths",
+        [0, 1],
+        1,
+    ),
+    "Schedule.fractions": (
+        lambda v: Schedule((0, 1), v, kind="custom"),
+        "fractions",
+        [ONE, ONE],
+        0,
+    ),
+    "MeasurementRecord.entries": (
+        MeasurementRecord,
+        "entries",
+        [tuple(e) for e in RECORD.entries],
+        0,
+    ),
+    "ExperimentConfig.n_shot_list": (
+        lambda v: _curve(n_shot_list=v).points,
+        "n_shot_list",
+        [8, 9],
+        1,
+    ),
+    "ExperimentConfig.amplitudes": (
+        lambda v: _sweep_points(v)[1],
+        "amplitudes",
+        [0.25, 0.5],
+        1,
+    ),
+    "call_ratio_table": (
+        lambda v: call_ratio_table(v, 0.05, 0.01, 2.0),
+        "d_list",
+        [4, 8],
+        1,
+    ),
+    "StatePrep.good_set": (lambda v: StatePrep(2, v, 0.3), "good_set", [1, 2], 0),
+}
+# A number of amplitudes is a count, read by the integer rule
+_NOT_LISTS = [
+    (site, value)
+    for site in sorted(_LIST_SITES)
+    for value in [5, 2.5, "12", b"01", {0.5: 1}, None]
+    if not (site == "ExperimentConfig.amplitudes" and isinstance(value, float | int))
+]
+
+
+def _generator(values):
+    return (v for v in values)
+
+
+class TestListRule:
+    @pytest.mark.parametrize("site, value", _NOT_LISTS)
+    def test_non_list_is_refused_by_name(self, site, value):
+        call, name, _, _ = _LIST_SITES[site]
+        message = f"^{re.escape(f'{name} must be a list, got {value!r}')}$"
+        with pytest.raises(ValueError, match=message):
+            call(value)
+
+    @pytest.mark.parametrize(
+        "site", sorted(s for s, entry in _LIST_SITES.items() if entry[3])
+    )
+    @pytest.mark.parametrize("kind", [list, _generator])
+    def test_empty_list_is_refused_by_name(self, site, kind):
+        call, name, _, least = _LIST_SITES[site]
+        message = f"^{name} must list at least {least}, got 0$"
+        with pytest.raises(ValueError, match=message):
+            call(kind([]))
+
+    @pytest.mark.parametrize("site", sorted(_LIST_SITES))
+    @pytest.mark.parametrize("kind", [tuple, np.array, _generator])
+    def test_other_iterables_read_as_the_list(self, site, kind):
+        call, _, good, _ = _LIST_SITES[site]
+        assert _same(call(kind(good)), call(good))
+
+    def test_a_set_of_indices_is_a_good_set(self):
+        assert StatePrep(2, {1, 2}, 0.3) == StatePrep(2, [2, 1], 0.3)
+        assert StatePrep(2, {1}, 0.3).good_set == frozenset({1})
+
+    def test_an_index_beyond_the_basis_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="^good_set must be at most 3, got 4$"):
+            StatePrep(2, [1, 4], 0.3)
 
 
 class TestJsonShape:
@@ -766,7 +861,7 @@ class TestJsonShape:
             Schedule.from_dict(data)
 
     @pytest.mark.parametrize("key", ["depths", "fractions"])
-    @pytest.mark.parametrize("value", [5, None, "01"])
+    @pytest.mark.parametrize("value", [5, None, "01", {"0": 1}])
     def test_a_schedule_list_that_is_no_list_is_refused_by_name(self, key, value):
         data = {**exponential_schedule(2).to_dict(), key: value}
         message = f"^{re.escape(f'{key} must be a list, got {value!r}')}$"

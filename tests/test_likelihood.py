@@ -571,6 +571,21 @@ class TestCachedBoundsAndRows:
         assert grid_maximize(rec, plan.grid_size) == estimate
         assert len(calls) == computed
 
+    def test_empty_record_bounds_no_block(self, monkeypatch, fresh_grids):
+        # every column of a flat likelihood is 0, so every bound equals the
+        # best value and a search would bound every block of the grid
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _bounds(*args)
+
+        monkeypatch.setattr(likelihood, "_bounds", counted)
+        estimate = grid_maximize(MeasurementRecord(()), 10**6)
+        assert calls == [] and _block_tree.cache_info().currsize == 0
+        assert (estimate.grid_index, estimate.log_likelihood) == (0, 0.0)
+        assert (estimate.theta_hat, estimate.a_hat) == (0.0, 0.0)
+
     def test_rows_are_read_only(self, fresh_grids):
         rec = record((0, 10, 4), (2, 10, 7))
         grid_maximize(rec, 101)

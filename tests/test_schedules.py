@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amplest.schedules import (
+    _SHOTS_KEPT,
     Schedule,
     base_bounds,
     call_weight,
@@ -275,7 +276,7 @@ class TestScheduleValidation:
         "depths, fractions, kind, message",
         [
             ((0, 1), (ONE, ONE), "cubic", "unknown schedule kind 'cubic'"),
-            ((), (), "custom", "at least one depth"),
+            ((), (), "custom", "depths must list at least 1"),
             ((0, 1), (ONE,), "custom", "equal length"),
             ((-1, 0), (ONE, ONE), "custom", "depths must be at least 0"),
             ((2, 1), (ONE, ONE), "poly", "poly schedule depths must be non-decreasing"),
@@ -320,6 +321,16 @@ class TestShots:
     def test_invalid(self):
         with pytest.raises(ValueError):
             exponential_schedule(3).shots(0)
+
+    def test_kept_shot_counts_are_bounded(self):
+        # each kept count holds a tuple of per-depth shots: 10,000 of them at
+        # d=50 jittered would hold ~12 MB
+        j = jitter(exponential_schedule_to_depth(50), 2.0)
+        for n_shot in range(1, 10_001):
+            j.shots(n_shot)
+        assert len(j._shots) <= _SHOTS_KEPT
+        assert j.shots(10_000) is j.shots(10_000)
+        assert j.shots(7) == tuple(math.ceil(f * 7) for f in j.fractions)
 
 
 class TestSerialization:
